@@ -111,17 +111,22 @@ int main(int argc, char** argv) {
   json.end_array();
   std::printf("\n(negative deltas beat the paper's BFS choice)\n");
 
-  // Third knob: the subproblem cache.  Within one solve tree a duplicate
-  // subrelation is impossible (Property 5.4 — see subproblem_cache.hpp),
-  // so a single run reports zero dedups by construction; the cache pays
-  // off when SHARED across solves of overlapping relations.  Demonstrate
-  // both: the in-tree invariant, and a warm re-solve of the same relation
-  // where memoized subtrees are pruned at first-run quality — warm cost
-  // must EQUAL cold cost while exploring a single relation.
-  std::printf("\nSubproblem cache (BFS, budget=10)\n");
+  // Third knob: the cross-solve GlobalMemo.  Within one solve tree a
+  // duplicate subrelation is impossible (Property 5.4 — Split partitions
+  // IF(R)), so a cold run against a fresh memo publishes every generated
+  // node under a DISTINCT key: entries == 1 + 2 * splits.  The memo pays
+  // off when SHARED across solves: a warm re-solve of the same relation
+  // is served from the cold run's root entry at first-run quality with
+  // zero exploration.  Only entries of a run that drained naturally
+  // surface, so the table runs the schedule-independent configuration —
+  // no cost bound, a depth cap, unlimited budget.
+  const std::size_t memo_depth = 6;
+  std::printf("\nGlobalMemo warm re-solve (bound off, max_depth=%zu, "
+              "unlimited budget)\n",
+              memo_depth);
   std::printf("%-10s %10s %10s %12s %12s %10s\n", "instance", "cold cost",
-              "warm cost", "cold expl.", "warm expl.", "deduped");
-  json.begin_array("subproblem_cache");
+              "warm cost", "cold expl.", "warm expl.", "entries");
+  json.begin_array("global_memo_warm");
   for (const RelationBenchmark& bench : relation_suite()) {
     BddManager mgr{0};
     std::vector<std::uint32_t> inputs;
@@ -130,32 +135,42 @@ int main(int argc, char** argv) {
         make_benchmark_relation(mgr, bench, inputs, outputs);
     SolverOptions options;
     options.cost = sum_of_bdd_sizes();
-    options.max_relations = 10;
-    options.subproblem_cache = std::make_shared<SubproblemCache>();
+    options.max_relations = static_cast<std::size_t>(-1);
+    options.use_cost_bound = false;
+    options.max_depth = memo_depth;
+    options.global_memo = std::make_shared<GlobalMemo>();
     const SolveResult cold = BrelSolver(options).solve(r);
-    if (cold.stats.pruned_by_cache != 0) {
-      std::printf("IN-TREE DUPLICATE on %s: Property 5.4 violated!\n",
-                  bench.name.c_str());
+    const std::size_t entries = options.global_memo->size();
+    if (entries != 1 + 2 * cold.stats.splits) {
+      std::printf("IN-TREE DUPLICATE on %s: %zu memo entries for %zu "
+                  "splits — Property 5.4 violated!\n",
+                  bench.name.c_str(), entries, cold.stats.splits);
       return 1;
     }
     const SolveResult warm = BrelSolver(options).solve(r);
     std::printf("%-10s %10.0f %10.0f %12zu %12zu %10zu\n",
                 bench.name.c_str(), cold.cost, warm.cost,
                 cold.stats.relations_explored, warm.stats.relations_explored,
-                warm.stats.pruned_by_cache);
+                entries);
+    if (warm.cost != cold.cost || warm.stats.relations_explored != 0) {
+      std::printf("WARM RE-SOLVE MISSED on %s: warm must equal cold cost "
+                  "at zero exploration\n",
+                  bench.name.c_str());
+      return 1;
+    }
     json.begin_element();
     json.field_str("instance", bench.name);
     json.field_num("cold_cost", cold.cost);
     json.field_num("warm_cost", warm.cost);
     json.field_int("cold_explored", cold.stats.relations_explored);
     json.field_int("warm_explored", warm.stats.relations_explored);
-    json.field_int("deduped", warm.stats.pruned_by_cache);
+    json.field_int("memo_entries", entries);
     json.end_element();
   }
   json.end_array();
-  std::printf("\n(cold runs dedup nothing — the in-tree no-duplicate "
-              "invariant;\nwarm re-solves return the memoized first-run "
-              "quality from one explored relation)\n");
+  std::printf("\n(cold runs publish one distinct entry per generated node "
+              "— the in-tree\nno-duplicate invariant; warm re-solves return "
+              "the first-run quality\nfrom the memo without exploring)\n");
 
   // Fourth knob: worker threads (parallel_engine.hpp).  Run in the
   // schedule-independent configuration — cost bound off, depth-capped

@@ -1,9 +1,10 @@
 // Customizable cost functions (Sec. 7.3): the same relation solved under
 // four different objectives produces four different solutions.  Shows the
-// built-in costs plus a fully custom lambda, and the BFS/DFS exploration
-// orders.
+// built-in costs plus a fully custom lambda, the BFS/DFS exploration
+// orders, and a warm re-solve from a shared cross-solve memo.
 
 #include <cstdio>
+#include <memory>
 
 #include "benchgen/relation_suite.hpp"
 #include "brel/solver.hpp"
@@ -23,8 +24,10 @@ void solve_with(const char* title, const brel::BooleanRelation& r,
     widest = std::max(widest, f.support().size());
     total_nodes += f.size();
   }
-  std::printf("%-34s cost=%7.0f  nodes=%3zu  lits=%3zu  max-support=%zu\n",
-              title, result.cost, total_nodes, literals, widest);
+  std::printf("%-34s cost=%7.0f  nodes=%3zu  lits=%3zu  max-support=%zu  "
+              "explored=%zu\n",
+              title, result.cost, total_nodes, literals, widest,
+              result.stats.relations_explored);
 }
 
 }  // namespace
@@ -84,8 +87,17 @@ int main() {
   SolverOptions best;
   best.order = ExplorationOrder::BestFirst;
   solve_with("best-first exploration", r, best);
-  SolverOptions cached;
-  cached.use_subproblem_cache = true;
-  solve_with("BFS + subproblem cache", r, cached);
+  // A GlobalMemo shared by two solves under one objective: the second
+  // solve is served from the first's root entry at equal cost with zero
+  // exploration (the memo is stamped with the cost identity and rejects
+  // any other objective).  Only entries of a run that drained naturally
+  // surface, so this pair runs bound-off with a depth cap small enough
+  // for the tree (at most 31 nodes) to fit the 50-relation budget.
+  SolverOptions memoized;
+  memoized.use_cost_bound = false;
+  memoized.max_depth = 4;
+  memoized.global_memo = std::make_shared<GlobalMemo>();
+  solve_with("BFS + shared memo (cold)", r, memoized);
+  solve_with("BFS + shared memo (warm)", r, memoized);
   return 0;
 }

@@ -57,7 +57,7 @@ CostFunction literal_count_cost() {
 CostFunction support_balance_cost(double lambda) {
   // Max-precision encoding: std::to_string's fixed 6 decimals would
   // collide distinct lambdas (< 1e-6 apart) into one identity and let
-  // the cache fingerprint accept memos minimized under a different
+  // the memo fingerprint accept memos minimized under a different
   // objective.
   char lambda_id[40];
   std::snprintf(lambda_id, sizeof lambda_id, "balance#%.17g", lambda);

@@ -21,10 +21,10 @@ namespace brel {
 /// invariant under output permutation when symmetry pruning is enabled.
 ///
 /// A cost function carries an *identity* next to its callable: solution
-/// memos (SubproblemCache, GlobalMemo) are only comparable between runs
-/// that minimized the same objective, and `std::function` instances
-/// cannot be compared, so the caches stamp themselves with `id()` at
-/// first use and reject mismatched reuse.  The factories below name
+/// memos (GlobalMemo) are only comparable between runs that minimized the
+/// same objective, and `std::function` instances cannot be compared, so
+/// a memo stamps itself with `id()` at first use and rejects mismatched
+/// reuse.  The factories below name
 /// their products stably ("size", "size2", ...); a bare lambda converts
 /// implicitly and receives a process-unique "custom#N" identity —
 /// conservative on purpose: two independently constructed lambdas are
@@ -53,7 +53,7 @@ class CostFunction {
     return static_cast<bool>(fn_);
   }
 
-  /// Stable identity for cache/memo fingerprints (empty when null).
+  /// Stable identity for memo fingerprints (empty when null).
   [[nodiscard]] const std::string& id() const noexcept { return id_; }
 
  private:

@@ -45,22 +45,15 @@ struct Subproblem {
   BooleanRelation rel;
   std::size_t depth = 0;
 
-  /// Characteristic-BDD edges of this node's chain root → ... → itself
-  /// (inclusive).  Any solution discovered in this subtree is valid for
-  /// every relation on the chain (Property 5.1), which is how the
-  /// subproblem cache memoizes subtree results.  Left empty when no
-  /// cache is active.  The edges stay pinned by the cache's keep-alive
-  /// handles.
-  std::vector<detail::Edge> ancestors;
-
-  /// The same ancestor chain as lazy canonical-key handles (root → ... →
-  /// itself, truncated at SolverOptions::global_memo_depth).  The
-  /// HANDLES are shared (a child's chain copies the parent's vector of
-  /// shared_ptrs — O(depth) cheap refcount bumps, never a hash or key
-  /// rebuild); chains are short in practice, a persistent cons-list is
-  /// the upgrade path if deep trees ever make the copies show.  Empty
-  /// when no global memo is active — memo-less runs build no keys and
-  /// no hashes at all.
+  /// This node's ancestor chain as lazy canonical-key handles (root → ...
+  /// → itself, inclusive).  Any solution discovered in this subtree is
+  /// valid for every relation on the chain (Property 5.1), which is how
+  /// the global memo attributes subtree results.  The HANDLES are shared
+  /// (a child's chain copies the parent's vector of shared_ptrs —
+  /// O(depth) cheap refcount bumps, never a hash or key rebuild); chains
+  /// are short in practice, a persistent cons-list is the upgrade path if
+  /// deep trees ever make the copies show.  Empty when no global memo is
+  /// active — memo-less runs build no keys and no hashes at all.
   std::vector<MemoKeyHandle> memo_chain;
 
   /// Incremental-delta cofactor (delta_context.hpp): the XOR of this

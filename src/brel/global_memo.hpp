@@ -4,14 +4,14 @@
 /// memo, keyed by the *manager-independent* serialized BDD form
 /// (memo_backend.hpp holds the canonical forms and the tier interface).
 ///
-/// `SubproblemCache` memoizes subtree results by raw manager-local edge:
-/// O(1) probes, but the memos are only meaningful inside the one manager
-/// (and variable assignment) that produced them.  The solver-pool service
-/// layer needs the opposite trade: many long-lived workers, each with a
-/// private `BddManager`, solving a stream of relations — a subproblem
-/// first explored by worker A (in A's manager, at A's variable offsets)
-/// must be recognizable when worker B re-generates it in B's manager
-/// while solving a later request.  `GlobalMemo` achieves that by keying
+/// The memo is the engines' one channel of subtree reuse ACROSS solves.
+/// Within one solve it can never hit: Split partitions IF(R) (the
+/// paper's Property 5.4), so no two nodes of one tree share a
+/// characteristic.  Across solves, a subproblem first explored by worker
+/// A (in A's manager, at A's variable offsets) must be recognizable when
+/// worker B re-generates it in B's manager while solving a later request
+/// — or when the same manager re-solves an overlapping relation.
+/// `GlobalMemo` achieves that by keying
 /// on the canonical portable form (GlobalMemoKey): the rank-remapped
 /// characteristic plus the input/output rank split.  Memoized solutions
 /// are stored in the same rank-mapped serialized form and materialized
@@ -54,8 +54,8 @@
 /// global watermark is still a valid per-shard watermark, and any race
 /// errs toward *skipping* a mark_complete, the safe direction.
 ///
-/// Comparability: like `SubproblemCache`, memos are only sound between
-/// runs minimizing the same objective in the same mode.  bind() stamps
+/// Comparability: memos are only sound between runs minimizing the same
+/// objective in the same mode (see CostFunction::id).  bind() stamps
 /// the memo with a `MemoFingerprint` and mismatched reuse throws.  A
 /// memo additionally only reflects how deeply its producing run explored
 /// — share among runs of one configuration (the pool enforces this by
@@ -136,14 +136,14 @@ struct MemoMark {
 /// frontier drain (not stopped by budget/timeout) marks, per touched
 /// subproblem, what it can vouch for:
 ///
-///   - a subtree cut by NOTHING (no cost-bound prune, no symmetry or
-///     subproblem-cache prune, no frontier-overflow drop, no depth-cap
-///     cut anywhere under it) is **naturally complete**: its entry is the
-///     subtree-final optimum under the memo's fingerprint.  It is marked
-///     at its producing depth d — or at kAnyDepth when the run had no
-///     depth cap — and serves any prober at depth d' <= d, because a
-///     subtree that bottomed naturally within budget d does so verbatim
-///     for every shallower (more generous) prober;
+///   - a subtree cut by NOTHING (no cost-bound prune, no symmetry prune,
+///     no frontier-overflow drop, no depth-cap cut anywhere under it) is
+///     **naturally complete**: its entry is the subtree-final optimum
+///     under the memo's fingerprint.  It is marked at its producing
+///     depth d — or at kAnyDepth when the run had no depth cap — and
+///     serves any prober at depth d' <= d, because a subtree that
+///     bottomed naturally within budget d does so verbatim for every
+///     shallower (more generous) prober;
 ///   - a subtree cut ONLY by the depth cap is **depth-truncated
 ///     complete**: its entry is the exact result of exploring that
 ///     characteristic with the remaining budget D - d, a pure function
@@ -183,7 +183,7 @@ class GlobalMemo : public MemoBackend {
   static constexpr std::size_t kMaxShards = 256;
 
   /// Stamp with the run configuration; mismatched reuse throws
-  /// std::invalid_argument (cf. SubproblemCache::bind).
+  /// std::invalid_argument.
   void bind(const MemoFingerprint& fp);
 
   /// The bound fingerprint (nullopt before the first bind) — the

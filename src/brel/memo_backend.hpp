@@ -294,9 +294,10 @@ void write_portable_solution(std::ostream& os, const PortableSolution& s);
 [[nodiscard]] bool canonically_before(const PortableSolution& a,
                                       const PortableSolution& b);
 
-/// The comparability stamp (see CacheFingerprint for the rationale; the
-/// variable spaces live inside each GlobalMemoKey here, as ranks, so the
-/// fingerprint only carries objective and mode).
+/// The comparability stamp: solutions are only comparable between runs
+/// that minimized the same objective (CostFunction::id) in the same mode
+/// (exact or heuristic).  The variable spaces live inside each
+/// GlobalMemoKey, as ranks, so the fingerprint carries nothing else.
 struct MemoFingerprint {
   std::string cost_id;
   bool exact = false;

@@ -29,12 +29,12 @@ namespace {
 
 /// A subproblem in flight between two managers: plain data, no handles,
 /// safe to hand across threads (see bdd_transfer.hpp).  The push-time
-/// best-first candidate and the cache ancestor chain do not travel — the
-/// thief re-seeds the priority and starts a fresh chain in its own cache.
-/// The global-memo key chain DOES travel: dropping it would detach the
-/// stolen subtree's discoveries from its ancestors' memo entries (a warm
-/// re-solve at the root would then return a worse cost than the run
-/// that warmed it whenever the best solution was found in stolen work).
+/// best-first candidate does not travel — the thief re-seeds the
+/// priority.  The global-memo key chain DOES travel: dropping it would
+/// detach the stolen subtree's discoveries from its ancestors' memo
+/// entries (a warm re-solve at the root would then return a worse cost
+/// than the run that warmed it whenever the best solution was found in
+/// stolen work).
 /// Chain handles are lazy (LazyMemoKey) and a HASHED handle pins a Bdd
 /// of the VICTIM's manager, so donate_work materializes every handle on
 /// the victim's thread before serializing the batch — what crosses the
@@ -235,12 +235,6 @@ bool acquire_injected(SearchContext& ctx, SharedState& shared,
     Subproblem sub{BooleanRelation(ctx.mgr, root.inputs(), root.outputs(),
                                    std::move(chi)),
                    item.depth};
-    if (ctx.cache != nullptr) {
-      // The victim's ancestor chain is meaningless here (other manager's
-      // edges); enter this subtree into our cache and restart the chain.
-      (void)ctx.cache->seen_before_or_insert(sub.rel.characteristic());
-      sub.ancestors.push_back(sub.rel.characteristic().raw_edge());
-    }
     // The global-memo chain travels with the work (it is plain data and
     // already ends with this node's own key): the stolen subtree keeps
     // publishing for its true ancestors, root included.  No probe here —
@@ -279,19 +273,9 @@ void run_worker(std::size_t worker_id, BddManager& mgr,
                     std::numeric_limits<double>::infinity(),
                     std::numeric_limits<double>::infinity(),
                     SolverStats{},
-                    std::nullopt,
-                    nullptr};
+                    std::nullopt};
   if (options.use_symmetry) {
-    ctx.symmetries.emplace(mgr, root.outputs(),
-                           options.symmetry_second_order);
-  }
-  std::unique_ptr<SubproblemCache> cache;
-  if (options.use_subproblem_cache) {
-    // Worker-private (keyed by this manager's edges; see the ctor check).
-    cache = std::make_unique<SubproblemCache>(
-        options.subproblem_cache_capacity);
-    cache->bind(make_cache_fingerprint(root, options, ctx.cost));
-    ctx.cache = cache.get();
+    ctx.symmetries.emplace(mgr, root.outputs());
   }
   // The rank tables are per-worker because they reference this worker's
   // manager variables; all workers mirror the coordinator's variable
@@ -337,11 +321,7 @@ void run_worker(std::size_t worker_id, BddManager& mgr,
       (void)ctx.symmetries->seen_before_or_insert(root.characteristic());
     }
     Subproblem root_item{root, 0};
-    if (ctx.cache != nullptr) {
-      (void)ctx.cache->seen_before_or_insert(root.characteristic());
-      root_item.ancestors.push_back(root.characteristic().raw_edge());
-    }
-    if (ctx.memo_active(0)) {
+    if (ctx.memo != nullptr) {
       // The coordinator already probed the memo before spawning the
       // fleet (a root hit never starts threads), so worker 0 only seeds
       // the publish chain here — a hash-only handle, like any child key.
@@ -356,10 +336,7 @@ void run_worker(std::size_t worker_id, BddManager& mgr,
     ++ctx.stats.quick_solutions;
     ++ctx.stats.solutions_seen;
     const double quick_cost = ctx.cost(quick);
-    if (ctx.cache != nullptr) {
-      ctx.cache->improve(root_item.ancestors, quick, quick_cost);
-    }
-    if (ctx.memo != nullptr && !root_item.memo_chain.empty()) {
+    if (ctx.memo != nullptr) {
       ctx.memo->publish(root_item.memo_chain.front(),
                         make_portable_solution(*ctx.memo_space, quick,
                                                quick_cost),
@@ -447,7 +424,6 @@ void accumulate_stats(SolverStats& into, const SolverStats& from) {
   into.conflicts += from.conflicts;
   into.pruned_by_cost += from.pruned_by_cost;
   into.pruned_by_symmetry += from.pruned_by_symmetry;
-  into.pruned_by_cache += from.pruned_by_cache;
   into.memo_hits += from.memo_hits;
   into.fifo_overflow += from.fifo_overflow;
   into.depth_limited += from.depth_limited;
@@ -478,12 +454,6 @@ ParallelEngine::ParallelEngine(const BooleanRelation& root,
       workers_(resolve_worker_count(options.num_workers)) {
   if (!root_.is_well_defined()) {
     throw std::invalid_argument("BrelSolver: relation is not well defined");
-  }
-  if (options_.subproblem_cache != nullptr) {
-    throw std::invalid_argument(
-        "ParallelEngine: a shared SubproblemCache is keyed by one "
-        "manager's edges and cannot serve per-worker managers; use "
-        "use_subproblem_cache for worker-private caches instead");
   }
   if (options_.global_memo != nullptr) {
     // The manager-independent memo CAN serve per-worker managers; fail

@@ -92,7 +92,6 @@ SolveResult solve_partitioned(const BooleanRelation& r,
     stats.conflicts += b.conflicts;
     stats.pruned_by_cost += b.pruned_by_cost;
     stats.pruned_by_symmetry += b.pruned_by_symmetry;
-    stats.pruned_by_cache += b.pruned_by_cache;
     stats.memo_hits += b.memo_hits;
     stats.fifo_overflow += b.fifo_overflow;
     stats.depth_limited += b.depth_limited;

@@ -42,15 +42,15 @@ double sanitize_priority(double cost) noexcept {
   return std::isnan(cost) ? std::numeric_limits<double>::infinity() : cost;
 }
 
-/// Generate one child: symmetry pruning, subproblem-cache dedup,
-/// QuickSolver safety net, optional best-first priority seeding, frontier
-/// push.  `parent` supplies the symmetry depth gate (exactly like the
-/// original loop) and the ancestor chain for solution memoization.
-/// `delta` is the child's incremental change-region cofactor (null when
-/// no delta is tracked this run; see delta_context.hpp).  Every cut that
-/// is not a pure function of (characteristic, remaining depth) taints
-/// the affected ancestor chain so the completeness marks stay honest
-/// (see SearchContext's taint sets).
+/// Generate one child: symmetry pruning, global-memo probe, QuickSolver
+/// safety net, optional best-first priority seeding, frontier push.
+/// `parent` supplies the symmetry depth gate (exactly like the original
+/// loop) and the ancestor chain for solution memoization.  `delta` is the
+/// child's incremental change-region cofactor (null when no delta is
+/// tracked this run; see delta_context.hpp).  Every cut that is not a
+/// pure function of (characteristic, remaining depth) taints the affected
+/// ancestor chain so the completeness marks stay honest (see
+/// SearchContext's taint sets).
 void enqueue_child(SearchContext& ctx, BooleanRelation&& child, Bdd&& delta,
                    const Subproblem& parent, Frontier& frontier) {
   if (ctx.symmetries.has_value() &&
@@ -62,37 +62,15 @@ void enqueue_child(SearchContext& ctx, BooleanRelation&& child, Bdd&& delta,
     ctx.taint_hard(parent.memo_chain);
     return;
   }
-  // Dedup re-encounters (only possible across solves sharing the cache —
-  // within one tree Property 5.4 forbids them; see subproblem_cache.hpp).
-  // Every inserted entry is memoized with at least its quick solution
-  // right below, so a hit always carries a memo; pruning offers it
-  // instead of losing the branch — never worse than the QuickSolver
-  // safety net would have been.
-  if (ctx.cache != nullptr) {
-    const CachedSolution* const prior =
-        ctx.cache->seen_before_or_insert(child.characteristic());
-    if (prior != nullptr && prior->has_solution()) {
-      ++ctx.stats.pruned_by_cache;
-      ++ctx.stats.solutions_seen;
-      // The memo (if any) must see this solution for the ancestors too —
-      // the branch is pruned, so nothing below will publish for them.
-      ctx.publish_to_memo(parent.memo_chain, prior->best, prior->cost);
-      ctx.offer_solution(prior->best, prior->cost);
-      // A cached best reflects however deeply an EARLIER solve explored
-      // this subtree — not provably subtree-final for this run's budget.
-      ctx.taint_hard(parent.memo_chain);
-      return;
-    }
-  }
 
-  // Global-memo probe: the manager-independent analogue of the block
-  // above, recognizing subtrees first explored by *other* managers
-  // (pool workers, earlier solves).  A hit imports the memoized best
-  // into our manager and prunes the branch — the same Property 5.1
-  // argument, and like the local cache every published entry carries at
-  // least its quick solution (record_solution below), so a hit is never
-  // worse than the safety net.  In-tree self-hits are impossible
-  // (Property 5.4 again: the key is a faithful image of the
+  // Global-memo probe: recognizes subtrees first explored by earlier
+  // solves or other managers (pool workers, parallel workers).  A hit
+  // imports the memoized best into our manager and prunes the branch
+  // (Property 5.1: a solution of the child is a solution of every
+  // ancestor); every published entry carries at least its quick solution
+  // (record_solution below), so a hit is never worse than the safety
+  // net.  In-tree self-hits are impossible (Property 5.4: Split
+  // partitions IF(R), and the key is a faithful image of the
   // characteristic), so a cold solve is unaffected by an empty memo.
   // The probe is HASH-ONLY (make_memo_handle): a miss costs one cached
   // structural-hash walk and serializes nothing; only a candidate hit
@@ -100,7 +78,7 @@ void enqueue_child(SearchContext& ctx, BooleanRelation&& child, Bdd&& delta,
   const std::size_t child_depth = parent.depth + 1;
   const bool delta_untouched = !delta.is_null() && delta.is_zero();
   MemoKeyHandle memo_key;
-  if (ctx.memo_active(child_depth)) {
+  if (ctx.memo != nullptr) {
     memo_key = make_memo_handle(ctx.memo_space_ref, child.characteristic());
     ctx.memo_touched.push_back({memo_key, child_depth});
     // lookup_at() only surfaces COMPLETE entries whose claim covers this
@@ -139,17 +117,9 @@ void enqueue_child(SearchContext& ctx, BooleanRelation&& child, Bdd&& delta,
 
   Subproblem sub{std::move(child), child_depth};
   sub.delta = std::move(delta);
-  if (ctx.cache != nullptr) {
-    sub.ancestors = parent.ancestors;
-    sub.ancestors.push_back(sub.rel.characteristic().raw_edge());
-  }
   if (ctx.memo != nullptr) {
-    // Deeper-than-gate children still inherit the chain: a solution found
-    // below the gate must memoize to its shallow ancestors.
     sub.memo_chain = parent.memo_chain;
-    if (memo_key != nullptr) {
-      sub.memo_chain.push_back(std::move(memo_key));
-    }
+    sub.memo_chain.push_back(std::move(memo_key));
   }
 
   // Sec. 7.6: every generated subrelation is quick-solved immediately, so
@@ -223,25 +193,15 @@ void SearchContext::offer_solution(MultiFunction f) {
   offer_solution(std::move(f), solution_cost);
 }
 
-void SearchContext::publish_to_memo(std::span<const MemoKeyHandle> chain,
-                                    const MultiFunction& f,
-                                    double solution_cost) {
-  if (memo == nullptr || chain.empty()) {
-    return;
-  }
-  const PortableSolution portable =
-      make_portable_solution(*memo_space, f, solution_cost);
-  for (const MemoKeyHandle& key : chain) {
-    memo->publish(key, portable, memo_stamp.run_id);
-  }
-}
-
 void SearchContext::record_solution(const Subproblem& from, MultiFunction f,
                                     double solution_cost) {
-  if (cache != nullptr) {
-    cache->improve(from.ancestors, f, solution_cost);
+  if (memo != nullptr && !from.memo_chain.empty()) {
+    const PortableSolution portable =
+        make_portable_solution(*memo_space, f, solution_cost);
+    for (const MemoKeyHandle& key : from.memo_chain) {
+      memo->publish(key, portable, memo_stamp.run_id);
+    }
   }
-  publish_to_memo(from.memo_chain, f, solution_cost);
   offer_solution(std::move(f), solution_cost);
 }
 
@@ -287,13 +247,6 @@ std::vector<MemoMark> make_memo_marks(
     }
   }
   return marks;
-}
-
-CacheFingerprint make_cache_fingerprint(const BooleanRelation& root,
-                                        const SolverOptions& options,
-                                        const CostFunction& resolved_cost) {
-  return CacheFingerprint{resolved_cost.id(), options.exact, root.inputs(),
-                          root.outputs()};
 }
 
 MultiFunction minimize_misf_candidate(SearchContext& ctx,
@@ -429,12 +382,12 @@ void expand_subproblem(SearchContext& ctx, Subproblem item,
     choice = select_conflict_split(ctx, rel, incomp);
   }
 
-  // Lines 11-12: both halves enter the frontier through the caches and
-  // the QuickSolver safety net.  When a delta is tracked, Split
-  // constrains base and new relation identically, so constraining the
-  // parent's XOR with the same removals yields each child's XOR
-  // (BooleanRelation::split_removals); a delta already at zero stays
-  // zero without touching the kernels.
+  // Lines 11-12: both halves enter the frontier through the symmetry
+  // check, the memo probe and the QuickSolver safety net.  When a delta
+  // is tracked, Split constrains base and new relation identically, so
+  // constraining the parent's XOR with the same removals yields each
+  // child's XOR (BooleanRelation::split_removals); a delta already at
+  // zero stays zero without touching the kernels.
   ++ctx.stats.splits;
   auto [r0, r1] = rel.split(choice->vertex, choice->output);
   Bdd delta0;
@@ -458,7 +411,6 @@ SearchEngine::SearchEngine(const BooleanRelation& root,
                            const SolverOptions& options)
     : root_(root),
       options_(options),
-      cache_(options_.subproblem_cache),
       ctx_{root_.manager(),
            options_,
            options_.cost ? options_.cost : sum_of_bdd_sizes(),
@@ -467,25 +419,13 @@ SearchEngine::SearchEngine(const BooleanRelation& root,
            std::numeric_limits<double>::infinity(),
            std::numeric_limits<double>::infinity(),
            SolverStats{},
-           std::nullopt,
-           nullptr},
+           std::nullopt},
       frontier_(make_frontier(options_.order, options_.fifo_capacity)) {
   if (!root_.is_well_defined()) {
     throw std::invalid_argument("BrelSolver: relation is not well defined");
   }
   if (options_.use_symmetry) {
-    ctx_.symmetries.emplace(ctx_.mgr, root_.outputs(),
-                            options_.symmetry_second_order);
-  }
-  if (cache_ == nullptr && options_.use_subproblem_cache) {
-    cache_ =
-        std::make_shared<SubproblemCache>(options_.subproblem_cache_capacity);
-  }
-  if (cache_ != nullptr) {
-    // Enforce the comparability contract before the first probe: a cache
-    // warmed under a different objective/mode/space must not prune us.
-    cache_->bind(make_cache_fingerprint(root_, options_, ctx_.cost));
-    ctx_.cache = cache_.get();
+    ctx_.symmetries.emplace(ctx_.mgr, root_.outputs());
   }
   // The rank space is built unconditionally: besides keying the memo it
   // anchors the canonical equal-cost tie order, which must be identical
@@ -522,16 +462,13 @@ SolveResult SearchEngine::run() {
   // only as a safety net.  (Seeding the bound with the quick cost would
   // prune the root whenever the MISF candidate merely ties it, silencing
   // the whole exploration.)
-  // The root bypasses the caches (it seeds them) and the capacity bound.
+  // The root bypasses the symmetry check (it seeds it) and the capacity
+  // bound.
   if (ctx_.symmetries.has_value()) {
     (void)ctx_.symmetries->seen_before_or_insert(root_.characteristic());
   }
   Subproblem root_item{root_, 0};
-  if (ctx_.cache != nullptr) {
-    (void)ctx_.cache->seen_before_or_insert(root_.characteristic());
-    root_item.ancestors.push_back(root_.characteristic().raw_edge());
-  }
-  if (ctx_.memo_active(0)) {
+  if (ctx_.memo != nullptr) {
     // Root probe of the cross-solve memo: a warm re-solve of an
     // identical relation (same canonical serialized form and spaces)
     // returns the memoized best immediately — first-run quality at zero
@@ -611,10 +548,7 @@ SolveResult SearchEngine::run() {
   ++ctx_.stats.quick_solutions;
   ++ctx_.stats.solutions_seen;
   const double quick_cost = ctx_.cost(quick);
-  if (ctx_.cache != nullptr) {
-    ctx_.cache->improve(root_item.ancestors, quick, quick_cost);
-  }
-  if (ctx_.memo != nullptr && !root_item.memo_chain.empty()) {
+  if (ctx_.memo != nullptr) {
     ctx_.memo->publish(root_item.memo_chain.front(),
                        make_portable_solution(*ctx_.memo_space, quick,
                                               quick_cost),

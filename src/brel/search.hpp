@@ -8,7 +8,7 @@
 ///   BrelSolver (facade, solver.hpp)
 ///     └─ SearchEngine (driver loop, this file)
 ///          ├─ Frontier            exploration order (frontier.hpp)
-///          ├─ SubproblemCache     whole-tree dedup (subproblem_cache.hpp)
+///          ├─ GlobalMemo          cross-solve reuse (global_memo.hpp)
 ///          ├─ SymmetryCache       near-root symmetry pruning (symmetry.hpp)
 ///          └─ SearchContext       incumbent / bound / stats / deadline
 ///
@@ -35,7 +35,6 @@
 
 #include "brel/frontier.hpp"
 #include "brel/solver.hpp"
-#include "brel/subproblem_cache.hpp"
 #include "brel/symmetry.hpp"
 #include "relation/relation.hpp"
 
@@ -62,10 +61,6 @@ struct SearchContext {
   SolverStats stats;
 
   std::optional<SymmetryCache> symmetries;
-
-  /// Engine-owned or caller-shared (SolverOptions::subproblem_cache);
-  /// null when disabled.
-  SubproblemCache* cache = nullptr;
 
   /// Cross-solve memo (SolverOptions::global_memo); null when disabled.
   /// `memo_space` carries the rank tables of the current root relation
@@ -100,25 +95,25 @@ struct SearchContext {
     std::size_t depth = 0;
   };
 
-  /// Every memo key this run created (root first, then generated
-  /// children within the depth gate).  A run that ends at its natural
-  /// frontier drain — no budget/timeout stop — turns the list into
-  /// depth-indexed MemoMarks (filtered through the taint sets below)
-  /// for GlobalMemo::mark_complete; an interrupted run leaves every
-  /// entry invisible.
+  /// Every memo key this run created (root first, then every generated
+  /// child).  A run that ends at its natural frontier drain — no
+  /// budget/timeout stop — turns the list into depth-indexed MemoMarks
+  /// (filtered through the taint sets below) for
+  /// GlobalMemo::mark_complete; an interrupted run leaves every entry
+  /// invisible.
   std::vector<MemoTouch> memo_touched = {};
 
   /// Taint tracking for the per-subtree completeness marks.  A key is
   /// HARD-tainted when its subtree lost solutions to a cut whose result
   /// is not a pure function of (characteristic, remaining depth) — a
-  /// cost-bound prune, a symmetry or subproblem-cache prune, a
-  /// frontier-overflow drop — and must not be marked at all.  A key is
-  /// SOFT-tainted when its subtree was cut only by the depth cap
-  /// (directly, or by importing a depth-truncated memo entry): its
-  /// entry is still exact for a prober at the same depth and is marked
-  /// depth-truncated.  Tracked by raw handle address: within one run
-  /// each canonical key is one shared LazyMemoKey (chains copy
-  /// shared_ptrs), and the pointers are kept alive by memo_touched.
+  /// cost-bound prune, a symmetry prune, a frontier-overflow drop — and
+  /// must not be marked at all.  A key is SOFT-tainted when its subtree
+  /// was cut only by the depth cap (directly, or by importing a
+  /// depth-truncated memo entry): its entry is still exact for a prober
+  /// at the same depth and is marked depth-truncated.  Tracked by raw
+  /// handle address: within one run each canonical key is one shared
+  /// LazyMemoKey (chains copy shared_ptrs), and the pointers are kept
+  /// alive by memo_touched.
   std::unordered_set<const LazyMemoKey*> memo_hard_tainted = {};
   std::unordered_set<const LazyMemoKey*> memo_soft_tainted = {};
 
@@ -128,11 +123,6 @@ struct SearchContext {
   bool delta_active = false;
 
   [[nodiscard]] bool timed_out() const;
-
-  /// Whether global-memo traffic is enabled for a node at `depth`.
-  [[nodiscard]] bool memo_active(std::size_t depth) const noexcept {
-    return memo != nullptr && depth <= options.global_memo_depth;
-  }
 
   /// The depth to probe the memo at for a node at `depth`: with a finite
   /// depth cap an entry is only valid relative to the prober's remaining
@@ -156,21 +146,11 @@ struct SearchContext {
   void offer_solution(MultiFunction f, double solution_cost);
   void offer_solution(MultiFunction f);
 
-  /// Offer a solution AND memoize it for every subrelation on the
-  /// discovering node's ancestor chains — the edge chain feeds the
-  /// manager-local subproblem cache, the serialized-key chain feeds the
-  /// global memo (Property 5.1 justifies both attributions).
+  /// Offer a solution AND memoize it in the global memo for every
+  /// subrelation on the discovering node's ancestor chain (Property 5.1
+  /// justifies the attribution).
   void record_solution(const Subproblem& from, MultiFunction f,
                        double solution_cost);
-
-  /// Publish `f` to the global memo for every key on `chain` (no-op
-  /// when the memo is off or the chain is empty).  Used by
-  /// record_solution and by the prune paths that offer a cached/memoized
-  /// solution: the offer is valid for the whole ancestor chain, so the
-  /// ancestors' memo entries must see it too — otherwise a warm re-solve
-  /// at the root could return a worse cost than the run that warmed it.
-  void publish_to_memo(std::span<const MemoKeyHandle> chain,
-                       const MultiFunction& f, double solution_cost);
 };
 
 /// Turn touched keys + taint sets into depth-indexed completeness marks
@@ -187,13 +167,6 @@ struct SearchContext {
     const std::unordered_set<const LazyMemoKey*>& hard_tainted,
     const std::unordered_set<const LazyMemoKey*>& soft_tainted,
     bool unlimited_depth, const LazyMemoKey* root_key, bool allow_root);
-
-/// The comparability stamp the engines bind their caches with (see
-/// CacheFingerprint): the resolved cost identity, the exploration mode,
-/// and the root's variable spaces.
-[[nodiscard]] CacheFingerprint make_cache_fingerprint(
-    const BooleanRelation& root, const SolverOptions& options,
-    const CostFunction& resolved_cost);
 
 /// A split decision: the input vertex and the output to split on.
 struct SplitChoice {
@@ -227,7 +200,8 @@ void handle_terminal(SearchContext& ctx, const Subproblem& item);
 
 /// One full expansion of a popped subproblem: terminal handling, MISF
 /// candidate + bounding, compatibility check, split selection, and child
-/// generation (dedup caches, QuickSolver safety net, frontier push).
+/// generation (symmetry pruning, memo probe, QuickSolver safety net,
+/// frontier push).
 void expand_subproblem(SearchContext& ctx, Subproblem item,
                        Frontier& frontier);
 
@@ -260,8 +234,7 @@ class SearchEngine {
   // outlives temporaries passed to its constructor.
   const BooleanRelation root_;
   const SolverOptions options_;
-  std::shared_ptr<SubproblemCache> cache_;  ///< keeps a shared cache alive
-  std::shared_ptr<GlobalMemo> memo_;        ///< keeps a shared memo alive
+  std::shared_ptr<GlobalMemo> memo_;  ///< keeps a shared memo alive
   /// Rank tables for this root — shared because HASHED key handles hold
   /// a reference until they materialize.
   std::shared_ptr<const MemoSpace> memo_space_;

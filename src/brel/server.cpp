@@ -802,6 +802,9 @@ void Server::start() {
           ex->enqueue_push(key);
         });
   }
+  // The slots claim their malloc arenas before the listener and the
+  // connection threads it spawns can take them (SolverPool::wait_started).
+  im.pool.wait_started();
   im.started = true;
   im.started_at = std::chrono::steady_clock::now();
   im.listener = std::thread([&im] { im.listener_loop(); });

@@ -28,7 +28,6 @@
 #include "brel/global_memo.hpp"
 #include "brel/isf_minimizer.hpp"
 #include "brel/quick_solver.hpp"
-#include "brel/subproblem_cache.hpp"
 #include "brel/symmetry.hpp"
 #include "relation/relation.hpp"
 
@@ -99,45 +98,17 @@ struct SolverOptions {
   /// ("only explored during the initial recursions").
   std::size_t symmetry_depth = 3;
 
-  /// Also detect complemented swaps (second-order nonskew nonequivalence).
-  bool symmetry_second_order = true;
-
-  /// Memoizing subproblem dedup by canonical characteristic-BDD edge (see
-  /// subproblem_cache.hpp).  Unlike the symmetry cache this has no depth
-  /// limit and O(1) probes.  Within a single solve it acts as an invariant
-  /// guard (Property 5.4 makes in-tree duplicates impossible); its value
-  /// comes from sharing one cache across solves of overlapping relations,
-  /// where re-encountered subtrees are pruned and their memoized best
-  /// solutions offered instead of being re-explored.  Off by default.
-  bool use_subproblem_cache = false;
-
-  /// Maximum entries (pinned BDD handles) in the subproblem cache.
-  std::size_t subproblem_cache_capacity = static_cast<std::size_t>(-1);
-
-  /// A caller-provided cache shared across solve() calls (and solvers on
-  /// the same manager).  When set it is used regardless of
-  /// `use_subproblem_cache`; when null and the flag is on, each solve gets
-  /// a fresh private cache.  Must only be shared between relations living
-  /// in the same BddManager.
-  std::shared_ptr<SubproblemCache> subproblem_cache;
-
   /// Cross-solve memo keyed by the canonical *serialized* subproblem form
-  /// (global_memo.hpp) — unlike `subproblem_cache` it is manager-
-  /// independent, so it can be shared between solves in different
-  /// managers (parallel workers, pool worker slots) and across process
-  /// lifetimes of any one manager.  Hits import the memoized solution
-  /// into the prober's manager instead of re-exploring; every discovered
-  /// solution is published for its whole ancestor chain.  The memo is
-  /// stamped with the cost/mode fingerprint at first use and rejects
-  /// mismatched reuse.  Null disables the memo.
+  /// (global_memo.hpp).  It is manager-independent, so it can be shared
+  /// between solves in the same or different managers (parallel workers,
+  /// pool worker slots) and across process lifetimes of any one manager.
+  /// Hits import the memoized solution into the prober's manager instead
+  /// of re-exploring; every discovered solution is published for its
+  /// whole ancestor chain.  Within one solve it never hits (Property 5.4),
+  /// and only entries of a run that drained naturally are served.  The
+  /// memo is stamped with the cost/mode fingerprint at first use and
+  /// rejects mismatched reuse.  Null disables the memo.
   std::shared_ptr<GlobalMemo> global_memo;
-
-  /// Probe/publish the global memo only for nodes at split depth <= this
-  /// bound.  Memo traffic costs one BDD serialization per child (the
-  /// price of manager independence), which is wasted on deep, tiny
-  /// subproblems; near the root the subtrees are large and re-encounters
-  /// across solves are most valuable.  Unlimited by default.
-  std::size_t global_memo_depth = static_cast<std::size_t>(-1);
 
   /// Subproblems a victim donates per steal request (parallel engine
   /// only).  Each donation serializes up to this many frontier picks into
@@ -212,7 +183,6 @@ struct SolverStats {
   std::size_t conflicts = 0;           ///< incompatible MISF solutions
   std::size_t pruned_by_cost = 0;      ///< line-6 bound rejections
   std::size_t pruned_by_symmetry = 0;  ///< symmetric subrelations skipped
-  std::size_t pruned_by_cache = 0;     ///< duplicate subrelations deduped
   std::size_t memo_hits = 0;           ///< subtrees served by the global memo
   std::size_t fifo_overflow = 0;       ///< children dropped (frontier full)
   std::size_t depth_limited = 0;       ///< splits suppressed by max_depth

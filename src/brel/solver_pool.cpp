@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <latch>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -69,13 +70,12 @@ struct SolverPool::Impl {
 
   explicit Impl(PoolOptions options)
       : options(std::move(options)),
-        workers(resolve_worker_count(this->options.workers)) {
+        workers(resolve_worker_count(this->options.workers)),
+        slots_started(static_cast<std::ptrdiff_t>(workers)) {
     // Normalize the per-request engine configuration once: requests run
-    // the serial engine (the pool's parallelism is across requests), a
-    // raw-edge cache cannot be shared across slot managers, and the
-    // pool's own memo is the cross-request channel.
+    // the serial engine (the pool's parallelism is across requests), and
+    // the pool's own memo is the cross-request channel.
     this->options.solver.num_workers = 1;
-    this->options.solver.subproblem_cache = nullptr;
     // A caller-provided memo is always adopted (sharing warm state
     // across pools); share_memo only controls whether the pool creates
     // its own when none was given.  bind fails fast on a fingerprint
@@ -194,17 +194,12 @@ struct SolverPool::Impl {
   }
 
   void worker_loop(std::size_t id) {
-    // The slot's persistent substrate: one manager and one subproblem
-    // cache, owned by this thread for the pool's whole lifetime.
+    // The slot's persistent substrate: one manager, owned by this thread
+    // for the pool's whole lifetime.
     BddManager mgr{0};
     mgr.bind_to_current_thread();
-    std::shared_ptr<SubproblemCache> slot_cache;
-    if (options.reuse_subproblem_cache) {
-      slot_cache = std::make_shared<SubproblemCache>(
-          options.solver.subproblem_cache_capacity);
-    }
     // Incremental base retention (PoolOptions::incremental): slot-
-    // private and thread-confined like the cache above, but — holding
+    // private and thread-confined like the manager above, but — holding
     // only plain serialized data — it SURVIVES the per-request
     // variable-block recycle, which is exactly what makes warm delta
     // re-solves work across requests.  The DELTA path needs the memo
@@ -215,6 +210,7 @@ struct SolverPool::Impl {
     if (resolve_incremental(options.incremental)) {
       slot_registry.emplace();
     }
+    slots_started.count_down();
 
     while (true) {
       Job job;
@@ -293,16 +289,6 @@ struct SolverPool::Impl {
                   ? std::min(solve_options.timeout, budget)
                   : budget;
         }
-        if (slot_cache != nullptr) {
-          // The cache was emptied at the previous request's end (raw-edge
-          // keys must not survive a variable-block recycle); re-stamp it
-          // for this request's fingerprint.
-          slot_cache->rebind_or_clear(make_cache_fingerprint(
-              r, solve_options,
-              solve_options.cost ? solve_options.cost
-                                 : sum_of_bdd_sizes()));
-          solve_options.subproblem_cache = slot_cache;
-        }
         if (slot_registry.has_value() && memo != nullptr) {
           solve_options.delta_registry = &*slot_registry;
         }
@@ -337,15 +323,11 @@ struct SolverPool::Impl {
         job.promise.set_exception(std::current_exception());
       }
       // Slot recycling: the request's handles are dead past this point.
-      // Empty the slot cache (its entries pin edges) and reclaim the
-      // whole variable block, so num_vars stays bounded by the widest
-      // single request instead of growing with every request served.
-      // reset_variables only declines when something still pins a node —
-      // impossible here, but fall back to ordinary GC rather than assert
-      // on a hypothetical embedder extension.
-      if (slot_cache != nullptr) {
-        slot_cache->clear();
-      }
+      // Reclaim the whole variable block, so num_vars stays bounded by
+      // the widest single request instead of growing with every request
+      // served.  reset_variables only declines when something still pins
+      // a node — impossible here, but fall back to ordinary GC rather
+      // than assert on a hypothetical embedder extension.
       if (!mgr.reset_variables()) {
         mgr.garbage_collect_if_needed();
       }
@@ -424,6 +406,7 @@ struct SolverPool::Impl {
 
   PoolOptions options;
   std::size_t workers;
+  std::latch slots_started;  ///< counted down once per slot start-up
   std::shared_ptr<GlobalMemo> memo;
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes;
@@ -449,6 +432,8 @@ SolverPool::SolverPool(PoolOptions options)
     : impl_(std::make_unique<Impl>(std::move(options))) {}
 
 SolverPool::~SolverPool() { impl_->shutdown(); }
+
+void SolverPool::wait_started() const { impl_->slots_started.wait(); }
 
 std::future<PoolResult> SolverPool::submit(std::string relation_text) {
   return impl_->enqueue(std::move(relation_text), RequestOptions{});

@@ -10,10 +10,10 @@
 ///
 ///   ownership rules (see DESIGN.md §service layer)
 ///   -----------------------------------------------
-///   - each worker slot owns a persistent `BddManager` plus a persistent
-///     private `SubproblemCache`, reused across every request the slot
-///     serves; nothing of a slot is ever touched by another thread (the
-///     manager is bound to the worker thread for the pool's lifetime);
+///   - each worker slot owns a persistent `BddManager`, reused across
+///     every request the slot serves; nothing of a slot is ever touched
+///     by another thread (the manager is bound to the worker thread for
+///     the pool's lifetime);
 ///   - requests enter as *text* (the `.br`/`.bdd` relation formats) and
 ///     results leave as `PoolResult` — a manager-independent
 ///     `PortableSolution` (rank-mapped serialized BDDs) — so no handle
@@ -28,23 +28,21 @@
 ///
 /// Manager lifetime across solves: the request's handles die when the
 /// request finishes, and the slot then RECYCLES its whole variable block
-/// (BddManager::reset_variables): the slot cache is cleared first (its
-/// entries pin edges), every node is freed, and num_vars drops to zero —
-/// so each request parses into variables 0..width-1 and a slot's
-/// variable count stays bounded by the widest single request it ever
-/// served, however long the pool lives (PoolResult::manager_num_vars
+/// (BddManager::reset_variables): every node is freed and num_vars drops
+/// to zero — so each request parses into variables 0..width-1 and a
+/// slot's variable count stays bounded by the widest single request it
+/// ever served, however long the pool lives (PoolResult::manager_num_vars
 /// witnesses this; rank-table construction stays O(request width)).
-/// Because the slot `SubproblemCache` is emptied at every request
-/// boundary, a later request can never be pruned by a stale raw-edge
-/// key even though variable indices repeat; *cross*-request reuse flows
-/// exclusively through the GlobalMemo, whose entries are plain data and
-/// pin nothing.
+/// Cross-request reuse flows exclusively through the GlobalMemo, whose
+/// entries are plain data and pin nothing.
 ///
 /// The per-request engine configuration is fixed at pool construction
 /// (`PoolOptions::solver`) — one objective, one mode — which is exactly
-/// the comparability contract the memo's fingerprint enforces.
-/// `num_workers` inside those options is ignored: each request runs the
-/// serial engine (cross-request throughput is the pool's parallelism).
+/// the comparability contract the memo's fingerprint enforces.  Each
+/// request runs the serial `SearchEngine` directly (cross-request
+/// throughput is the pool's parallelism), not the `BrelSolver` facade:
+/// `num_workers` and `partition_inputs` inside those options are
+/// ignored, so a pool never pre-splits a request into input blocks.
 ///
 /// Concurrency note for shared-memo users: memo probes only surface
 /// COMPLETE entries — subtree results of a run that drained naturally
@@ -75,7 +73,7 @@ struct PoolOptions {
   std::size_t workers = 1;
 
   /// Engine configuration every request is solved under.  `num_workers`
-  /// and `subproblem_cache` are ignored (see the file comment).  A
+  /// and `partition_inputs` are ignored (see the file comment).  A
   /// caller-provided `global_memo` is always adopted as the pool memo
   /// (sharing warm state across pools).
   SolverOptions solver;
@@ -97,11 +95,6 @@ struct PoolOptions {
   /// is adopted via `solver.global_memo` (its sharding is fixed at its
   /// construction).
   std::size_t memo_shards = 0;
-
-  /// Keep a persistent per-slot SubproblemCache, recycled across
-  /// requests with rebind_or_clear (an in-run invariant guard; see the
-  /// file comment for why cross-request hits cannot occur).
-  bool reuse_subproblem_cache = true;
 
   /// Totalize partial request relations (allow every output on inputs
   /// with an empty image) instead of failing them with
@@ -245,6 +238,14 @@ class SolverPool {
   /// Stop accepting work, finish everything queued, join the workers.
   /// Idempotent; later submits throw std::runtime_error.
   void shutdown();
+
+  /// Block until every worker has built its manager.  glibc binds a
+  /// thread to a malloc arena at its first allocation, handing out the
+  /// arenas of exited threads first; a caller that waits here before
+  /// starting threads of its own lets a restarted pool's workers reclaim
+  /// the heaps its predecessor's workers left warm (see DESIGN.md
+  /// §service layer).
+  void wait_started() const;
 
   [[nodiscard]] std::size_t worker_count() const noexcept;
   /// The pool-wide cross-solve memo (null when share_memo is off).

@@ -3,11 +3,8 @@
 namespace brel {
 
 SymmetryCache::SymmetryCache(BddManager& mgr,
-                             std::vector<std::uint32_t> outputs,
-                             bool enable_second_order)
-    : mgr_(&mgr),
-      outputs_(std::move(outputs)),
-      enable_second_order_(enable_second_order) {}
+                             std::vector<std::uint32_t> outputs)
+    : mgr_(&mgr), outputs_(std::move(outputs)) {}
 
 bool SymmetryCache::seen_before_or_insert(const Bdd& chi) {
   if (cache_.count(chi.raw_edge()) != 0) {
@@ -45,33 +42,29 @@ bool SymmetryCache::seen_before_or_insert(const Bdd& chi) {
         if (probe(swap)) {
           return true;
         }
-        if (enable_second_order_) {
-          // (d): the swap additionally complements one other output.
-          for (const std::uint32_t yk : outputs_) {
-            if (yk == yi || yk == yj) {
-              continue;
-            }
-            std::vector<Bdd> conditional = swap;
-            conditional[yk] = !identity[yk];
-            if (probe(conditional)) {
-              return true;
-            }
+        // (d): the swap additionally complements one other output.
+        for (const std::uint32_t yk : outputs_) {
+          if (yk == yi || yk == yj) {
+            continue;
+          }
+          std::vector<Bdd> conditional = swap;
+          conditional[yk] = !identity[yk];
+          if (probe(conditional)) {
+            return true;
           }
         }
       }
-      if (enable_second_order_) {
-        std::vector<Bdd> skew = identity;
-        skew[yi] = !identity[yj];
-        skew[yj] = !identity[yi];
-        if (probe(skew)) {
-          return true;
-        }
-        std::vector<Bdd> pair = identity;
-        pair[yi] = !identity[yi];
-        pair[yj] = !identity[yj];
-        if (probe(pair)) {
-          return true;
-        }
+      std::vector<Bdd> skew = identity;
+      skew[yi] = !identity[yj];
+      skew[yj] = !identity[yi];
+      if (probe(skew)) {
+        return true;
+      }
+      std::vector<Bdd> pair = identity;
+      pair[yi] = !identity[yi];
+      pair[yj] = !identity[yj];
+      if (probe(pair)) {
+        return true;
       }
     }
   }

@@ -388,24 +388,6 @@ TEST(ParallelEngineTest, ResolvesWorkerCounts) {
   EXPECT_EQ(ParallelEngine(r, options).worker_count(), 3u);
 }
 
-TEST(ParallelEngineTest, RejectsSharedSubproblemCache) {
-  BddManager mgr{0};
-  RelationSpace space = make_space(mgr, 2, 2);
-  const BooleanRelation r = fig1_relation(mgr, space);
-  SolverOptions options;
-  options.num_workers = 2;
-  options.subproblem_cache = std::make_shared<SubproblemCache>();
-  EXPECT_THROW(ParallelEngine(r, options), std::invalid_argument);
-  // Worker-private caches are the supported spelling...
-  options.subproblem_cache = nullptr;
-  options.use_subproblem_cache = true;
-  const SolveResult result = ParallelEngine(r, options).run();
-  EXPECT_TRUE(r.is_compatible(result.function));
-  // ...and in-tree duplicates stay impossible under migration
-  // (Property 5.4 holds for the union of the workers' sub-forests).
-  EXPECT_EQ(result.stats.pruned_by_cache, 0u);
-}
-
 TEST(ParallelEngineTest, RejectsIllDefinedRelation) {
   BddManager mgr{0};
   RelationSpace space = make_space(mgr, 2, 2);

@@ -1,8 +1,8 @@
 // Tests for the pluggable search-engine layer: frontier strategy
 // semantics (FIFO / LIFO / best-first ordering, capacity, move-only
-// items), the subproblem cache (in-tree no-duplicate invariant and
-// cross-solve dedup), the SearchEngine driver, and strategy-independence
-// of exact mode.
+// items), cross-solve memo reuse (in-tree no-duplicate invariant, warm
+// re-solves, fingerprint checks), the SearchEngine driver, and
+// strategy-independence of exact mode.
 
 #include <gtest/gtest.h>
 
@@ -211,38 +211,17 @@ TEST_F(SearchEngineTest, EngineRejectsIllDefinedRelation) {
   EXPECT_THROW(SearchEngine(broken, SolverOptions{}), std::invalid_argument);
 }
 
-// ------------------------------------------------------ subproblem cache
+// -------------------------------------------------- cross-solve memo reuse
 
-TEST(SubproblemCacheTest, DetectsExactDuplicatesOnly) {
-  BddManager mgr{3};
-  SubproblemCache cache;
-  const Bdd f = mgr.var(0) & mgr.var(1);
-  EXPECT_FALSE(cache.seen_before_or_insert(f));
-  EXPECT_TRUE(cache.seen_before_or_insert(f));
-  EXPECT_TRUE(cache.contains(f));
-  EXPECT_FALSE(cache.contains(mgr.var(2)));
-  EXPECT_FALSE(cache.seen_before_or_insert(mgr.var(0) & mgr.var(2)));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.probes(), 3u);
-}
-
-TEST(SubproblemCacheTest, CapacityStopsInsertionNotProbing) {
-  BddManager mgr{4};
-  SubproblemCache cache{2};
-  EXPECT_FALSE(cache.seen_before_or_insert(mgr.var(0)));
-  EXPECT_FALSE(cache.seen_before_or_insert(mgr.var(1)));
-  EXPECT_FALSE(cache.seen_before_or_insert(mgr.var(2)));  // full: dropped
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.seen_before_or_insert(mgr.var(2)));  // still unseen
-  EXPECT_TRUE(cache.seen_before_or_insert(mgr.var(0)));   // cached ones hit
-}
-
-TEST(SubproblemCacheTest, InTreeDuplicatesAreImpossible) {
+TEST(CrossSolveMemoTest, InTreeDuplicatesAreImpossible) {
   // Property 5.4 corollary: Split partitions the image at the split
   // vertex, so no two nodes of one solve tree share a characteristic
-  // function.  A cold solve must therefore never dedup anything — on the
-  // whole benchmark suite, under every strategy.
+  // function.  A cold solve against a fresh memo publishes every node it
+  // generates (the root plus both children of every split, each with at
+  // least its quick solution), so the memo must end up holding exactly
+  // that many DISTINCT keys — on the whole benchmark suite, under every
+  // strategy.  Symmetry pruning stays off: a pruned twin publishes
+  // nothing.
   for (const RelationBenchmark& bench : relation_suite()) {
     BddManager mgr{0};
     std::vector<std::uint32_t> inputs;
@@ -255,93 +234,20 @@ TEST(SubproblemCacheTest, InTreeDuplicatesAreImpossible) {
       SolverOptions options;
       options.order = order;
       options.max_relations = 30;
-      options.use_subproblem_cache = true;
+      options.use_symmetry = false;
+      options.global_memo = std::make_shared<GlobalMemo>();
       const SolveResult result = BrelSolver(options).solve(r);
-      EXPECT_EQ(result.stats.pruned_by_cache, 0u)
+      EXPECT_EQ(result.stats.memo_hits, 0u)
+          << bench.name << ": in-tree memo self-hit";
+      EXPECT_EQ(options.global_memo->size(), 1 + 2 * result.stats.splits)
           << bench.name << ": in-tree duplicate — Property 5.4 violated";
     }
   }
 }
 
-TEST(SubproblemCacheTest, PrivateCacheLeavesResultsUntouched) {
-  // With a fresh per-solve cache nothing can hit, so enabling the flag
-  // must not change any outcome.
-  BddManager mgr{0};
-  RelationSpace space = make_space(mgr, 2, 2);
-  for (const BooleanRelation& r : {fig1_relation(mgr, space),
-                                   fig10_relation(mgr, space),
-                                   fig8_relation(mgr, space)}) {
-    SolverOptions plain;
-    plain.max_relations = 40;
-    SolverOptions cached = plain;
-    cached.use_subproblem_cache = true;
-    const SolveResult a = BrelSolver(plain).solve(r);
-    const SolveResult b = BrelSolver(cached).solve(r);
-    EXPECT_DOUBLE_EQ(a.cost, b.cost);
-    EXPECT_EQ(a.stats.relations_explored, b.stats.relations_explored);
-    EXPECT_EQ(a.stats.splits, b.stats.splits);
-  }
-}
-
-TEST(SubproblemCacheTest, ImprovementsToPresentEntriesLandAtCapacity) {
-  // The capacity bound stops *insertions*, not memo improvements: a
-  // better solution discovered after the cache fills must still update
-  // the entries that are present (a full cache that silently froze its
-  // memos would keep offering stale, costlier solutions on every hit).
-  BddManager mgr{4};
-  SubproblemCache cache{1};
-  const Bdd inside = mgr.var(0);
-  const Bdd outside = mgr.var(1);
-  EXPECT_FALSE(cache.seen_before_or_insert(inside));
-  EXPECT_FALSE(cache.seen_before_or_insert(outside));  // full: dropped
-  ASSERT_EQ(cache.size(), 1u);
-
-  MultiFunction f;
-  f.outputs.push_back(mgr.var(2));
-  const detail::Edge chain[] = {inside.raw_edge(), outside.raw_edge()};
-  cache.improve(chain, f, 10.0);
-  const CachedSolution* entry = cache.seen_before_or_insert(inside);
-  ASSERT_TRUE(entry != nullptr && entry->has_solution());
-  EXPECT_DOUBLE_EQ(entry->cost, 10.0);
-
-  // The better solution found later lands on the present entry...
-  cache.improve(chain, f, 4.0);
-  entry = cache.seen_before_or_insert(inside);
-  ASSERT_TRUE(entry != nullptr);
-  EXPECT_DOUBLE_EQ(entry->cost, 4.0);
-  // ...a worse one does not regress it...
-  cache.improve(chain, f, 7.0);
-  entry = cache.seen_before_or_insert(inside);
-  ASSERT_TRUE(entry != nullptr);
-  EXPECT_DOUBLE_EQ(entry->cost, 4.0);
-  // ...and the dropped edge stays unmemoized (skipped, not resurrected).
-  EXPECT_EQ(cache.seen_before_or_insert(outside), nullptr);
-}
-
-TEST(SubproblemCacheTest, BindRejectsMismatchedFingerprints) {
-  SubproblemCache cache;
-  const CacheFingerprint size_fp{"size", false, {0, 1}, {2, 3}};
-  cache.bind(size_fp);
-  cache.bind(size_fp);  // idempotent re-bind of the same configuration
-  // Different objective, mode, or variable spaces: all rejected.
-  EXPECT_THROW(cache.bind(CacheFingerprint{"size2", false, {0, 1}, {2, 3}}),
-               std::invalid_argument);
-  EXPECT_THROW(cache.bind(CacheFingerprint{"size", true, {0, 1}, {2, 3}}),
-               std::invalid_argument);
-  EXPECT_THROW(cache.bind(CacheFingerprint{"size", false, {0, 1, 2}, {3}}),
-               std::invalid_argument);
-  // rebind_or_clear recycles instead: entries drop, stamp moves on.
-  BddManager mgr{4};
-  (void)cache.seen_before_or_insert(mgr.var(0));
-  EXPECT_EQ(cache.size(), 1u);
-  cache.rebind_or_clear(CacheFingerprint{"size2", false, {0, 1}, {2, 3}});
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_THROW(cache.bind(size_fp), std::invalid_argument);
-}
-
-TEST(SubproblemCacheTest, SharingAcrossCostFunctionsIsRejected) {
+TEST(CrossSolveMemoTest, SharingAcrossCostFunctionsIsRejected) {
   // The wrong-pruning scenario the fingerprint prevents: warm a shared
-  // cache under the "size" objective, then re-solve under "size2".
+  // memo under the "size" objective, then re-solve under "size2".
   // Without the stamp, the warm run would prune its subtrees and offer
   // the size-optimal memos — whose recorded costs are measured in a
   // different unit — as size2 incumbents, silently returning a function
@@ -353,9 +259,10 @@ TEST(SubproblemCacheTest, SharingAcrossCostFunctionsIsRejected) {
   SolverOptions options;
   options.max_relations = 40;
   options.cost = sum_of_bdd_sizes();
-  options.subproblem_cache = std::make_shared<SubproblemCache>();
+  options.global_memo = std::make_shared<GlobalMemo>();
   const SolveResult cold = BrelSolver(options).solve(r);
   EXPECT_TRUE(r.is_compatible(cold.function));
+  ASSERT_FALSE(cold.stats.budget_exhausted);  // drained: entries surface
 
   SolverOptions mismatched = options;
   mismatched.cost = sum_of_squared_bdd_sizes();
@@ -365,20 +272,22 @@ TEST(SubproblemCacheTest, SharingAcrossCostFunctionsIsRejected) {
   SolverOptions exact_reuse = options;
   exact_reuse.exact = true;
   EXPECT_THROW((void)BrelSolver(exact_reuse).solve(r), std::invalid_argument);
-  // And for a different relation over different spaces (the raw-edge
-  // keys would alias — e.g. constant characteristics — so the spaces are
-  // part of the stamp).
+  // A relation over different spaces needs no stamp: the spaces ride
+  // inside every memo key (GlobalMemoTest.SameChiDifferentSpacesKey-
+  // Differently), so it shares the memo without aliasing r's entries.
   BooleanRelation other =
       BooleanRelation::full(mgr, {space.inputs[0]}, {space.outputs[0]});
-  EXPECT_THROW((void)BrelSolver(options).solve(other), std::invalid_argument);
+  const SolveResult other_result = BrelSolver(options).solve(other);
+  EXPECT_TRUE(other.is_compatible(other_result.function));
+  EXPECT_EQ(other_result.stats.memo_hits, 0u);
 
   // The legitimate sharing pattern still works after the failed binds.
   const SolveResult warm = BrelSolver(options).solve(r);
   EXPECT_DOUBLE_EQ(warm.cost, cold.cost);
-  EXPECT_GT(warm.stats.pruned_by_cache, 0u);
+  EXPECT_GT(warm.stats.memo_hits, 0u);
 }
 
-TEST(SubproblemCacheTest, AnonymousCostFunctionsNeverFalselyMatch) {
+TEST(CrossSolveMemoTest, AnonymousCostFunctionsNeverFalselyMatch) {
   // Two independently written lambdas could compute different costs, so
   // they get distinct identities; copies of one CostFunction (the normal
   // way options are reused) share theirs.
@@ -390,24 +299,28 @@ TEST(SubproblemCacheTest, AnonymousCostFunctionsNeverFalselyMatch) {
   EXPECT_EQ(sum_of_bdd_sizes().id(), sum_of_bdd_sizes().id());
 }
 
-TEST(SubproblemCacheTest, SharedCacheDedupsAcrossSolves) {
+TEST(CrossSolveMemoTest, SharedMemoServesRepeatSolves) {
+  // A memo shared by two solves in ONE manager: only entries of a run
+  // that drained naturally surface (global_memo.hpp), so the cold run
+  // must finish inside its budget.
   BddManager mgr{0};
   RelationSpace space = make_space(mgr, 2, 2);
   const BooleanRelation r = fig10_relation(mgr, space);
   SolverOptions options;
   options.max_relations = 40;
-  options.subproblem_cache = std::make_shared<SubproblemCache>();
+  options.global_memo = std::make_shared<GlobalMemo>();
   const SolveResult cold = BrelSolver(options).solve(r);
-  EXPECT_EQ(cold.stats.pruned_by_cache, 0u);
+  ASSERT_FALSE(cold.stats.budget_exhausted);
+  EXPECT_EQ(cold.stats.memo_hits, 0u);
   const SolveResult warm = BrelSolver(options).solve(r);
-  // The warm run prunes re-encountered subtrees...
-  EXPECT_GT(warm.stats.pruned_by_cache, 0u);
+  // The warm run is served from the memo...
+  EXPECT_GT(warm.stats.memo_hits, 0u);
   EXPECT_LT(warm.stats.relations_explored, cold.stats.relations_explored);
-  // ...and each pruned subtree offers its memoized best, so the warm
-  // result matches first-run quality at a fraction of the exploration.
+  // ...and the served entry is the cold run's best, so the warm result
+  // matches first-run quality at a fraction of the exploration.
   EXPECT_DOUBLE_EQ(warm.cost, cold.cost);
   EXPECT_TRUE(r.is_compatible(warm.function));
-  EXPECT_GT(options.subproblem_cache->hits(), 0u);
+  EXPECT_GT(options.global_memo->hits(), 0u);
 }
 
 }  // namespace

@@ -102,6 +102,23 @@ long long stat_of(const std::string& stats, const std::string& key) {
   return -1;
 }
 
+/// The server counts `answered` just AFTER it writes the reply frame, so
+/// a client can hold its last reply a beat before the counter moves.
+/// Poll until `answered` reaches `expected` — bounded, so a request that
+/// was never answered still fails the assertions that follow — and
+/// return that snapshot.
+ServerMetrics metrics_after_answers(const Server& server,
+                                    std::uint64_t expected) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  ServerMetrics m = server.metrics();
+  while (m.answered < expected && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    m = server.metrics();
+  }
+  return m;
+}
+
 /// The schedule-independent engine configuration (cf.
 /// test_solver_pool.cpp): results are a pure function of the relation,
 /// so server answers can be compared bit-for-bit with local solves.
@@ -187,7 +204,7 @@ TEST(ServerTest, ConcurrentClientsAreBitIdenticalToSingleSolve) {
         << relation_suite()[i].name;
   }
 
-  const ServerMetrics m = server.metrics();
+  const ServerMetrics m = metrics_after_answers(server, texts.size());
   EXPECT_EQ(m.accepted, texts.size());
   EXPECT_EQ(m.answered, texts.size());
   EXPECT_EQ(m.protocol_errors, 0u);
@@ -229,7 +246,7 @@ TEST(ServerTest, MalformedAndOversizedFramesKeepTheConnectionAlive) {
   const std::string reply = client.request("SOLVE\n" + fig1_text());
   EXPECT_EQ(verb_of(reply), "OK");
 
-  const ServerMetrics m = server.metrics();
+  const ServerMetrics m = metrics_after_answers(server, 2);
   EXPECT_EQ(m.protocol_errors, 8u);  // the pool parse error counts apart
   EXPECT_EQ(m.request_errors, 1u);
   EXPECT_EQ(m.accepted, 2u);  // bad relation + fig1 both passed admission
@@ -259,7 +276,7 @@ TEST(ServerTest, DeadlineExpiredRequestsAnswerTimeoutFrames) {
   // The connection survives a timed-out request.
   EXPECT_EQ(verb_of(client.request("SOLVE\n" + fig1_text())), "OK");
 
-  const ServerMetrics m = server.metrics();
+  const ServerMetrics m = metrics_after_answers(server, 2);
   EXPECT_EQ(m.timed_out, 1u);
   EXPECT_EQ(m.accepted, 2u);
   EXPECT_EQ(m.answered, 2u);
@@ -303,7 +320,7 @@ TEST(ServerTest, BusyPastTheBoundAndReadmissionAtTheLowWatermark) {
   }
   EXPECT_EQ(verb_of(probe.request("SOLVE\n" + fig1_text())), "OK");
 
-  const ServerMetrics m = server.metrics();
+  const ServerMetrics m = metrics_after_answers(server, 2);
   EXPECT_EQ(m.rejected_busy, 2u);
   EXPECT_EQ(m.accepted, 2u);
   EXPECT_EQ(m.answered, 2u);

@@ -526,6 +526,20 @@ TEST(SolverPoolTest, SubmitAfterShutdownThrows) {
                std::runtime_error);
 }
 
+TEST(SolverPoolTest, WaitStartedReturnsBeforeAndAfterShutdown) {
+  PoolOptions options;
+  options.workers = 3;
+  SolverPool pool(options);
+  pool.wait_started();
+  pool.wait_started();  // the latch stays open
+  EXPECT_EQ(pool.requests_served(), 0u);
+  const PoolResult ok =
+      pool.submit(std::string(".i 1\n.o 1\n.r\n0 1\n1 0\n.e\n")).get();
+  EXPECT_EQ(ok.solution.outputs.size(), 1u);
+  pool.shutdown();
+  pool.wait_started();
+}
+
 /// int3 (6 inputs, 4 outputs) serialized — large enough that an
 /// unbounded exploration cannot drain within a short deadline.
 std::string large_instance_text() {

@@ -28,13 +28,6 @@
 //                                            stats line when sifting ran
 //     --no-bound                             disable the line-6 cost bound
 //     --symmetry                             enable the symmetry cache
-//     --seed-cache                           enable the subproblem cache,
-//                                            seeded with the root relation.
-//                                            One-shot runs never hit it
-//                                            (Property 5.4 — it acts as an
-//                                            invariant guard); embedders
-//                                            share it across solves via
-//                                            SolverOptions::subproblem_cache
 //     --totalize                             repair partial relations
 //     --solver=brel|quick|gyocro|herb        which solver to run
 //     --serve                                batch service mode: treat every
@@ -55,10 +48,12 @@
 //                                            region touches (--serve slots
 //                                            keep per-slot bases; single-solve
 //                                            mode accepts the flag for parity
-//                                            but has no prior base).  Also
-//                                            arms the delta-localization
-//                                            partition (first 4 inputs), so
-//                                            point edits re-search one block.
+//                                            but has no prior base).  In
+//                                            single-solve mode it also arms
+//                                            the delta-localization partition
+//                                            (first 4 inputs); --serve slots
+//                                            run the engine directly and do
+//                                            not partition.
 //                                            Requires the memo;
 //                                            BREL_INCREMENTAL=0|1 overrides
 //     --memo-shards=N                        lock shards of the pool memo
@@ -100,7 +95,6 @@ struct CliOptions {
   bool exact = false;
   brel::ExplorationOrder order = brel::ExplorationOrder::BreadthFirst;
   bool symmetry = false;
-  bool seed_cache = false;
   bool totalize = false;
   bool dump_table = false;
   bool quiet = false;
@@ -120,7 +114,7 @@ struct CliOptions {
                "                [--max-depth=N] [--exact] [--no-bound]\n"
                "                [--order=bfs|dfs|best] [--workers=N]\n"
                "                [--reorder=off|on|auto]\n"
-               "                [--symmetry] [--seed-cache] [--totalize]\n"
+               "                [--symmetry] [--totalize]\n"
                "                [--solver=brel|quick|gyocro|herb]\n"
                "                [--serve] [--no-memo] [--incremental]\n"
                "                [--memo-shards=N]\n"
@@ -193,8 +187,6 @@ CliOptions parse_args(int argc, char** argv) {
       options.reorder = reorder_by_name(v);
     } else if (arg == "--symmetry") {
       options.symmetry = true;
-    } else if (arg == "--seed-cache") {
-      options.seed_cache = true;
     } else if (arg == "--serve") {
       options.serve = true;
     } else if (arg == "--no-memo") {
@@ -338,7 +330,6 @@ brel::SolverOptions solver_options_from_cli(const CliOptions& cli) {
   options.num_workers = cli.workers;
   options.exact = cli.exact;
   options.use_symmetry = cli.symmetry;
-  options.use_subproblem_cache = cli.seed_cache;
   options.order = cli.order;
   options.reorder = cli.reorder;
   options.steal_batch = cli.steal_batch;
@@ -403,10 +394,10 @@ int run_serve(const CliOptions& cli) {
   pool_options.totalize = cli.totalize;
   pool_options.incremental = cli.incremental;
   if (brel::resolve_incremental(cli.incremental)) {
-    // Delta localization (partition.hpp): cofactor on the first inputs
-    // so a point edit dirties one block and the clean blocks root-hit.
-    // Fig. 6 splits alone cannot localize point edits — they refine
-    // output constraints, never the input space.
+    // The same option set as single-solve --incremental.  Pool slots run
+    // SearchEngine directly, not the BrelSolver facade, so they ignore
+    // partition_inputs: --serve requests are not pre-split into input
+    // blocks (see solver_pool.hpp).
     pool_options.solver.partition_inputs = 4;
   }
 
@@ -580,8 +571,11 @@ int main(int argc, char** argv) {
       options.global_memo = std::make_shared<brel::GlobalMemo>();
     }
     options.delta_registry = &registry;
-    // Same delta-localization pre-split as --serve slots, so both modes
-    // produce identical results for identical option sets.
+    // Delta localization (partition.hpp): cofactor on the first inputs
+    // so a point edit dirties one block and the clean blocks root-hit.
+    // Fig. 6 splits alone cannot localize point edits — they refine
+    // output constraints, never the input space.  (--serve slots ignore
+    // this setting; see run_serve.)
     options.partition_inputs = 4;
   }
   const brel::SolveResult result = brel::BrelSolver(options).solve(relation);
@@ -589,11 +583,10 @@ int main(int argc, char** argv) {
     std::printf("# cost(%s) = %.0f\n", cli.cost.c_str(), result.cost);
     std::printf(
         "# explored=%zu splits=%zu conflicts=%zu pruned(cost)=%zu "
-        "pruned(sym)=%zu pruned(cache)=%zu time=%.3fs%s\n",
+        "pruned(sym)=%zu time=%.3fs%s\n",
         result.stats.relations_explored, result.stats.splits,
         result.stats.conflicts, result.stats.pruned_by_cost,
-        result.stats.pruned_by_symmetry, result.stats.pruned_by_cache,
-        result.stats.runtime_seconds,
+        result.stats.pruned_by_symmetry, result.stats.runtime_seconds,
         result.stats.budget_exhausted ? " (budget exhausted)" : "");
     if (result.stats.workers > 1) {
       std::printf("# workers=%zu steals=%zu batches=%zu\n",

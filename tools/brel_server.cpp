@@ -161,7 +161,9 @@ int main(int argc, char** argv) {
   }
   options.pool.solver.cost = cost_by_name(cost);
   if (brel::resolve_incremental(options.pool.incremental)) {
-    // Same delta-localization pre-split as brel_cli --serve.
+    // The same option set as brel_cli --incremental.  Pool slots run
+    // SearchEngine directly and ignore partition_inputs, so requests are
+    // not pre-split into input blocks (see solver_pool.hpp).
     options.pool.solver.partition_inputs = 4;
   }
 
