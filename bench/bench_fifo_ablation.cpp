@@ -172,11 +172,11 @@ int main(int argc, char** argv) {
               "— the in-tree\nno-duplicate invariant; warm re-solves return "
               "the first-run quality\nfrom the memo without exploring)\n");
 
-  // Fourth knob: worker threads (parallel_engine.hpp).  Run in the
+  // Fourth knob: worker threads (search.hpp).  Run in the
   // schedule-independent configuration — cost bound off, depth-capped
   // tree — where every worker count explores the same node set, so the
-  // cost column must be CONSTANT (the parallel-vs-serial differential
-  // guarantee) and the time column isolates pure scaling.  Wall-clock
+  // cost and explored columns must be CONSTANT (the bench exits 1
+  // otherwise) and the time column isolates pure scaling.  Wall-clock
   // only scales when the host has cores to scale onto;
   // hardware_concurrency is recorded alongside so a flat or inverted
   // time column on a starved runner reads as what it is.
@@ -186,6 +186,8 @@ int main(int argc, char** argv) {
               "CPU [s]", "steals", "explored", "vs 1 worker");
   json.begin_array("worker_scaling");
   double serial_seconds = 0.0;
+  double serial_cost = 0.0;
+  std::size_t serial_explored = 0;
   const std::size_t scaling_depth =
       bench::budget_from_env("BREL_SCALING_DEPTH", 9);
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
@@ -213,6 +215,8 @@ int main(int argc, char** argv) {
     const double cpu = timer.seconds();
     if (workers == 1) {
       serial_seconds = cpu;
+      serial_cost = total_cost;
+      serial_explored = explored;
     }
     std::printf("%-10zu %12.0f %12.3f %10zu %10zu %11.2fx\n", workers,
                 total_cost, cpu, steals, explored, serial_seconds / cpu);
@@ -223,6 +227,13 @@ int main(int argc, char** argv) {
     json.field_int("steals", steals);
     json.field_int("explored", explored);
     json.end_element();
+    if (total_cost != serial_cost || explored != serial_explored) {
+      std::printf("SCHEDULE DEPENDENCE at %zu workers: cost %.0f, explored "
+                  "%zu vs %.0f, %zu at 1 worker\n",
+                  workers, total_cost, explored, serial_cost,
+                  serial_explored);
+      return 1;
+    }
   }
   json.end_array();
   json.field_int("hardware_concurrency",

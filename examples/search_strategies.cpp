@@ -3,8 +3,8 @@
 // shared cross-solve memo, with the exploration statistics side by side.
 //
 // Also shows the engine layer directly — BrelSolver is just a facade; a
-// SearchEngine can be driven standalone when the caller wants access to
-// the final SearchContext (memo hit rates, bound evolution, ...).
+// SearchEngine can be driven standalone (it skips the facade's input
+// partitioning), with the shared memo inspected afterwards.
 
 #include <cstdio>
 #include <limits>
@@ -61,19 +61,15 @@ int main() {
   report("cold solve (memo empty)", BrelSolver(memoized).solve(r));
   report("warm re-solve (shared)", BrelSolver(memoized).solve(r));
 
-  // 3. The engine layer directly: same run, but the caller keeps the
-  //    context and can inspect the memo after the fact.
+  // 3. The engine layer directly: same run, and the caller inspects the
+  //    shared memo after the fact.
   SearchEngine engine(r, memoized);
   const SolveResult result = engine.run();
-  const SearchContext& ctx = engine.context();
-  std::printf("\nengine run: cost=%.0f, bound=%s, memo %zu entries, "
+  const GlobalMemo& memo = *memoized.global_memo;
+  std::printf("\nengine run: cost=%.0f, explored=%zu, memo %zu entries, "
               "%llu/%llu probe hits\n",
-              result.cost,
-              ctx.bound_cost == std::numeric_limits<double>::infinity()
-                  ? "inf"
-                  : "finite",
-              ctx.memo->size(),
-              static_cast<unsigned long long>(ctx.memo->hits()),
-              static_cast<unsigned long long>(ctx.memo->probes()));
+              result.cost, result.stats.relations_explored, memo.size(),
+              static_cast<unsigned long long>(memo.hits()),
+              static_cast<unsigned long long>(memo.probes()));
   return 0;
 }

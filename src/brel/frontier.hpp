@@ -113,7 +113,7 @@ class Frontier {
   [[nodiscard]] virtual Subproblem pop() = 0;
 
   /// Remove and return the entry this strategy parts with when another
-  /// worker requests work (parallel_engine.hpp); requires !empty().
+  /// worker requests work (search_engine.cpp); requires !empty().
   /// FIFO donates its *deepest* pending node (the back of the queue — the
   /// farthest from the victim's own BFS wavefront), best-first donates
   /// its cheapest (the node the priority order values most, so the thief

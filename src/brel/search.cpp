@@ -407,215 +407,4 @@ void expand_subproblem(SearchContext& ctx, Subproblem item,
   enqueue_child(ctx, std::move(r1), std::move(delta1), item, frontier);
 }
 
-SearchEngine::SearchEngine(const BooleanRelation& root,
-                           const SolverOptions& options)
-    : root_(root),
-      options_(options),
-      ctx_{root_.manager(),
-           options_,
-           options_.cost ? options_.cost : sum_of_bdd_sizes(),
-           std::chrono::steady_clock::now(),
-           MultiFunction{},
-           std::numeric_limits<double>::infinity(),
-           std::numeric_limits<double>::infinity(),
-           SolverStats{},
-           std::nullopt},
-      frontier_(make_frontier(options_.order, options_.fifo_capacity)) {
-  if (!root_.is_well_defined()) {
-    throw std::invalid_argument("BrelSolver: relation is not well defined");
-  }
-  if (options_.use_symmetry) {
-    ctx_.symmetries.emplace(ctx_.mgr, root_.outputs());
-  }
-  // The rank space is built unconditionally: besides keying the memo it
-  // anchors the canonical equal-cost tie order, which must be identical
-  // between memo-less and memo-backed runs of the same relation.  No
-  // KEYS (and no hashes) are ever built on memo-less runs, though — the
-  // rank tables are the only canonical-form work they pay for.
-  memo_space_ = std::make_shared<const MemoSpace>(make_memo_space(root_));
-  ctx_.tie_space = memo_space_.get();
-  if (options_.global_memo != nullptr) {
-    memo_ = options_.global_memo;
-    memo_->bind(MemoFingerprint{ctx_.cost.id(), options_.exact});
-    ctx_.memo = memo_.get();
-    ctx_.memo_space = memo_space_.get();
-    ctx_.memo_space_ref = memo_space_;
-    ctx_.memo_stamp = memo_->begin_run();
-  }
-}
-
-SolveResult SearchEngine::run() {
-  // Dynamic reordering policy (SolverOptions::reorder, overridable via
-  // BREL_REORDER): On sifts the manager once before exploration, Auto
-  // arms the GC-coupled trigger for the duration of this run (restored
-  // afterwards — an engine must not permanently change a caller's
-  // manager policy).  SolverStats::reorders reports the sift passes this
-  // run caused, whatever the trigger.
-  const ReorderMode reorder_mode = resolve_reorder_mode(options_.reorder);
-  const bool auto_was_armed = ctx_.mgr.auto_reorder();
-  const std::uint64_t reorders_before = ctx_.mgr.stats().reorders;
-  const std::uint64_t swaps_before = ctx_.mgr.stats().reorder_swaps;
-
-  // Step 0 (Sec. 7.2): QuickSolver guarantees at least one solution.
-  // Its cost does NOT seed the branch-and-bound bound: Fig. 6 starts the
-  // recursion with an infinite-cost BestF, and the quick fallbacks serve
-  // only as a safety net.  (Seeding the bound with the quick cost would
-  // prune the root whenever the MISF candidate merely ties it, silencing
-  // the whole exploration.)
-  // The root bypasses the symmetry check (it seeds it) and the capacity
-  // bound.
-  if (ctx_.symmetries.has_value()) {
-    (void)ctx_.symmetries->seen_before_or_insert(root_.characteristic());
-  }
-  Subproblem root_item{root_, 0};
-  if (ctx_.memo != nullptr) {
-    // Root probe of the cross-solve memo: a warm re-solve of an
-    // identical relation (same canonical serialized form and spaces)
-    // returns the memoized best immediately — first-run quality at zero
-    // exploration.  On a miss the root key seeds every descendant's
-    // publish chain, so by the end of this run the memo's root entry
-    // equals the returned incumbent.
-    MemoKeyHandle root_key =
-        make_memo_handle(memo_space_, root_.characteristic());
-    ctx_.memo_touched.push_back({root_key, 0});
-    if (const std::optional<PortableSolution> entry =
-            ctx_.memo->lookup(root_key)) {
-      ++ctx_.stats.memo_hits;
-      ++ctx_.stats.solutions_seen;
-      if (options_.delta_registry != nullptr) {
-        // A served root is as good as a drained one for the next diff:
-        // its interior entries are whatever its producing run marked.
-        // The hit verified the handle, so get() is already built.
-        options_.delta_registry->remember(root_key->get());
-      }
-      SolveResult result;
-      result.function =
-          import_portable_solution(ctx_.mgr, *ctx_.memo_space, *entry);
-      result.cost = entry->cost;
-      ctx_.stats.runtime_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        ctx_.start)
-              .count();
-      result.stats = ctx_.stats;
-      return result;
-    }
-    root_item.memo_chain.push_back(std::move(root_key));
-  }
-
-  // Incremental delta (delta_context.hpp): on a root miss, diff against
-  // the registry's most recent base over the same variable spaces and
-  // carry the change region down the decomposition.  Purely an overlay —
-  // reuse itself happens through the ordinary memo probes above.
-  if (options_.delta_registry != nullptr && !root_item.memo_chain.empty()) {
-    // Signature-only base probe (the rank lists live in the memo space)
-    // — learning whether a base exists must not materialize the root
-    // key the memo miss above deliberately left hash-only.
-    if (const SerializedBdd* base = options_.delta_registry->find_base(
-            memo_space_->input_ranks, memo_space_->output_ranks)) {
-      const Bdd base_chi =
-          import_canonical_bdd(ctx_.mgr, *ctx_.memo_space, *base);
-      root_item.delta = root_.characteristic() ^ base_chi;
-      ctx_.delta_active = true;
-      ctx_.stats.delta_active = true;
-    }
-  }
-
-  // Apply the reordering policy only past the warm-memo fast path (keys
-  // are order-independent, so probing never needed a sift — and a warm
-  // hit should not pay for one): On sifts once up front, Auto arms the
-  // GC-coupled trigger for the duration of this run.  The disarm guard
-  // runs on every exit — a throwing cost function must not leave the
-  // caller's manager permanently armed.
-  struct AutoReorderGuard {
-    BddManager* mgr = nullptr;
-    ~AutoReorderGuard() {
-      if (mgr != nullptr) {
-        mgr->set_auto_reorder(false);
-      }
-    }
-  } disarm_guard;
-  if (reorder_mode == ReorderMode::On) {
-    ctx_.mgr.reorder();
-  } else if (reorder_mode == ReorderMode::Auto && !auto_was_armed) {
-    ctx_.mgr.set_auto_reorder(true, options_.reorder_trigger);
-    disarm_guard.mgr = &ctx_.mgr;
-  }
-
-  // The root quick solution seeds the incumbent UNCONDITIONALLY: even a
-  // cost function that maps it to +inf (or NaN) must leave a compatible
-  // function in `best`, never an empty MultiFunction.
-  MultiFunction quick = quick_solve(root_, ctx_.options.minimizer);
-  ++ctx_.stats.quick_solutions;
-  ++ctx_.stats.solutions_seen;
-  const double quick_cost = ctx_.cost(quick);
-  if (ctx_.memo != nullptr) {
-    ctx_.memo->publish(root_item.memo_chain.front(),
-                       make_portable_solution(*ctx_.memo_space, quick,
-                                              quick_cost),
-                       ctx_.memo_stamp.run_id);
-  }
-  ctx_.best_cost = quick_cost;
-  ctx_.best = std::move(quick);
-
-  seed_priority(ctx_, root_item, *frontier_);
-  frontier_->push_root(std::move(root_item));
-
-  while (!frontier_->empty()) {
-    if (!ctx_.options.exact &&
-        ctx_.stats.relations_explored >= ctx_.options.max_relations) {
-      ctx_.stats.budget_exhausted = true;
-      break;
-    }
-    if (ctx_.timed_out()) {
-      ctx_.stats.budget_exhausted = true;
-      break;
-    }
-    ctx_.mgr.garbage_collect_if_needed();
-    expand_subproblem(ctx_, frontier_->pop(), *frontier_);
-  }
-
-  // Depth-indexed completeness marking (see global_memo.hpp).  An
-  // interrupted run (budget/timeout stop) marks nothing — a later
-  // identical solve must re-explore rather than inherit the degraded
-  // result forever.  A drained run marks per subtree: untainted keys
-  // naturally complete at their depth, depth-cap-truncated keys
-  // truncated at theirs, hard-tainted keys not at all — except the
-  // root, which is exactly what this solve returned and is marked
-  // truncated-at-0 unless children were dropped to frontier overflow
-  // (make_memo_marks).
-  if (ctx_.memo != nullptr && !ctx_.stats.budget_exhausted &&
-      !ctx_.memo_touched.empty()) {
-    // memo_touched.front() is the root key (pushed before any child).
-    const std::vector<MemoMark> marks = make_memo_marks(
-        ctx_.memo_touched, ctx_.memo_hard_tainted, ctx_.memo_soft_tainted,
-        options_.max_depth == static_cast<std::size_t>(-1),
-        ctx_.memo_touched.front().key.get(),
-        ctx_.stats.fifo_overflow == 0);
-    ctx_.memo->mark_complete(std::span<const MemoMark>(marks),
-                             ctx_.memo_stamp);
-    if (options_.delta_registry != nullptr &&
-        ctx_.stats.fifo_overflow == 0) {
-      // The root entry is now marked: this run's relation becomes the
-      // freshest base for the next nearly-identical request.  The root
-      // key was materialized by its quick-solution publish above.
-      options_.delta_registry->remember(ctx_.memo_touched.front().key->get());
-    }
-  }
-
-  ctx_.stats.reorders = static_cast<std::size_t>(
-      ctx_.mgr.stats().reorders - reorders_before);
-  ctx_.stats.reorder_swaps = static_cast<std::size_t>(
-      ctx_.mgr.stats().reorder_swaps - swaps_before);
-
-  ctx_.stats.runtime_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    ctx_.start)
-          .count();
-  SolveResult result;
-  result.function = std::move(ctx_.best);
-  result.cost = ctx_.best_cost;
-  result.stats = ctx_.stats;
-  return result;
-}
-
 }  // namespace brel

@@ -1,30 +1,40 @@
 #pragma once
 /// \file search.hpp
 /// The BREL search engine: the Fig. 6 branch-and-bound recursion broken
-/// into an explicit state object plus small focused steps.
+/// into an explicit state object plus small focused steps, driven by
+/// `num_workers` workers.
 ///
 /// Layering (see DESIGN.md):
 ///
 ///   BrelSolver (facade, solver.hpp)
-///     └─ SearchEngine (driver loop, this file)
-///          ├─ Frontier            exploration order (frontier.hpp)
-///          ├─ GlobalMemo          cross-solve reuse (global_memo.hpp)
-///          ├─ SymmetryCache       near-root symmetry pruning (symmetry.hpp)
-///          └─ SearchContext       incumbent / bound / stats / deadline
+///     └─ SearchEngine (driver, search_engine.cpp)
+///          └─ worker × num_workers    one loop; 1 worker runs inline
+///               ├─ Frontier           exploration order (frontier.hpp)
+///               ├─ GlobalMemo         cross-solve reuse (global_memo.hpp)
+///               ├─ SymmetryCache      near-root symmetry pruning
+///               └─ SearchContext      incumbent / bound / stats / deadline
 ///
 /// `SearchContext` carries everything one expansion needs: the manager,
 /// the resolved cost function, the incumbent solution and its cost, the
-/// line-6 bound, the deadline and the statistics.  The steps
-/// (`expand_subproblem`, `handle_terminal`, the split selectors) are free
-/// functions over the context so they can be tested — and eventually
-/// executed by parallel workers — without going through the solver facade.
+/// line-6 bound, the deadline and the statistics.  Each worker owns one.
+/// The steps (`expand_subproblem`, `handle_terminal`, the split
+/// selectors) are free functions over the context so they can be tested
+/// without going through the solver facade.
 ///
-/// With the default BFS/DFS strategies the engine performs *exactly* the
-/// operations of the original monolithic loop, in the same order, so
-/// results are bit-identical; best-first additionally precomputes each
-/// child's MISF candidate at push time to order the frontier by it.
+/// With one worker the engine runs in the caller's manager on the
+/// calling thread.  With the default BFS/DFS strategies it performs
+/// *exactly* the operations of the original monolithic loop, in the same
+/// order, so results are bit-identical; best-first additionally
+/// precomputes each child's MISF candidate at push time to order the
+/// frontier by it.  With N > 1 workers each owns a private manager and
+/// work migrates between them through an injection queue; the
+/// schedule-independent configuration (`use_cost_bound = false` plus a
+/// `max_depth` cap, or a drained frontier) explores a fixed node set, so
+/// its cost does not move with the worker count — test_parallel_engine
+/// pins that across the whole benchmark suite.
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -159,9 +169,8 @@ struct SearchContext {
 /// soft-tainted keys are depth-truncated at their depth, hard-tainted
 /// keys are skipped — except `root_key` (the run's root), which is
 /// exactly what the run returned and is marked truncated-at-0 whenever
-/// `allow_root` (no frontier-overflow drops anywhere in the run).
-/// Shared by the serial engine and the parallel coordinator (which
-/// passes fleet-unioned taint sets).
+/// `allow_root` (no frontier-overflow drops anywhere in the run).  The
+/// engine passes the taint sets unioned over all its workers.
 [[nodiscard]] std::vector<MemoMark> make_memo_marks(
     std::span<const SearchContext::MemoTouch> touched,
     const std::unordered_set<const LazyMemoKey*>& hard_tainted,
@@ -210,36 +219,42 @@ void expand_subproblem(SearchContext& ctx, Subproblem item,
 /// candidate (which expansion then reuses).  Skipped when the frontier is
 /// full — the push would be rejected anyway, and MISF minimization is the
 /// dominant per-node cost.  No-op for strategies that ignore priority.
-/// Used by the engine for the root and by parallel workers for
-/// subproblems received through the injection queue (which travel
-/// without their push-time candidate).
+/// Used by the engine for the root and by workers for subproblems
+/// received through the injection queue (which travel without their
+/// push-time candidate).
 void seed_priority(SearchContext& ctx, Subproblem& sub,
                    const Frontier& frontier);
 
-/// Drives a frontier and a context to a SolveResult.  One engine per
-/// solve() run; the solver facade owns nothing but options.
+/// Resolve SolverOptions::num_workers (0 = one per hardware thread).
+[[nodiscard]] std::size_t resolve_worker_count(std::size_t requested);
+
+/// Drives `num_workers` workers, each a frontier plus a context, to one
+/// SolveResult.  One engine per solve() run; the solver facade owns
+/// nothing but options.
 class SearchEngine {
  public:
-  /// Throws std::invalid_argument when `root` is not well defined.
+  /// Copies the root and options (the engine outlives temporaries).
+  /// Throws std::invalid_argument when `root` is not well defined or when
+  /// `options.global_memo` was stamped for another cost/mode.
   SearchEngine(const BooleanRelation& root, const SolverOptions& options);
 
-  /// Run to completion (frontier drained, budget exhausted or deadline
-  /// hit) and return the incumbent plus statistics.
+  /// Run to completion (every frontier and the injection queue drained,
+  /// budget exhausted, or deadline hit) and return the incumbent plus
+  /// statistics: `stats` sums the workers, `worker_stats` holds one entry
+  /// per worker that ran (empty on a root memo hit).  The function lives
+  /// in the root relation's manager.  With one worker everything runs on
+  /// the calling thread; otherwise exceptions thrown inside a worker stop
+  /// the fleet and are rethrown.
   [[nodiscard]] SolveResult run();
 
-  [[nodiscard]] const SearchContext& context() const noexcept { return ctx_; }
+  [[nodiscard]] std::size_t worker_count() const noexcept {
+    return workers_;
+  }
 
  private:
-  // Owned copies (both are cheap: handles + index vectors), so an engine
-  // outlives temporaries passed to its constructor.
   const BooleanRelation root_;
   const SolverOptions options_;
-  std::shared_ptr<GlobalMemo> memo_;  ///< keeps a shared memo alive
-  /// Rank tables for this root — shared because HASHED key handles hold
-  /// a reference until they materialize.
-  std::shared_ptr<const MemoSpace> memo_space_;
-  SearchContext ctx_;
-  std::unique_ptr<Frontier> frontier_;
+  const std::size_t workers_;
 };
 
 }  // namespace brel

@@ -13,8 +13,8 @@
 /// runs out (Sec. 7.6).
 ///
 /// `BrelSolver` is a thin facade over the engine in search.hpp — it holds
-/// options and constructs one `SearchEngine` per solve() call.  See
-/// DESIGN.md for the layering.
+/// options and constructs one `SearchEngine` per solve() call (or
+/// partitions first, partition.hpp).  See DESIGN.md for the layering.
 
 #include <chrono>
 #include <cstddef>
@@ -81,9 +81,10 @@ struct SolverOptions {
   /// bounds).
   bool use_cost_bound = true;
 
-  /// Worker threads for the exploration (parallel_engine.hpp).  1 = the
-  /// serial engine; 0 = one per hardware thread.  Each worker owns a
-  /// private BddManager (the kernel layer is single-threaded) and
+  /// Workers running the exploration (search.hpp); 0 = one per hardware
+  /// thread.  One worker (the default) runs inline on the calling thread
+  /// in the relation's own manager.  More than one each get a thread and
+  /// a private BddManager (the kernel layer is single-threaded), and
   /// subproblems migrate between workers in the serialized transfer form
   /// (bdd_transfer.hpp).  With more than one worker the cost function is
   /// invoked concurrently from several threads (each on its own
@@ -110,10 +111,11 @@ struct SolverOptions {
   /// rejects mismatched reuse.  Null disables the memo.
   std::shared_ptr<GlobalMemo> global_memo;
 
-  /// Subproblems a victim donates per steal request (parallel engine
-  /// only).  Each donation serializes up to this many frontier picks into
-  /// ONE injection-queue batch, amortizing the per-donation SerializedBdd
-  /// round trip that single-node stealing pays on fine-grained trees.
+  /// Subproblems a victim donates per steal request (more than one
+  /// worker only).  Each donation serializes up to this many frontier
+  /// picks into ONE injection-queue batch, amortizing the per-donation
+  /// SerializedBdd round trip that single-node stealing pays on
+  /// fine-grained trees.
   /// 1 reproduces the old node-at-a-time donation.  Donation only moves
   /// already-admitted frontier items between workers, so the depth-capped
   /// schedule-independence contract holds for any batch size.
@@ -134,8 +136,8 @@ struct SolverOptions {
   /// this setting when present (resolve_reorder_mode) — the hook CI uses
   /// to re-run whole suites under forced reordering.  Reordering changes
   /// BDD *sizes*, so size-based costs may differ between runs with
-  /// different modes (and between serial and parallel engines, whose
-  /// managers sift independently); results remain compatible solutions
+  /// different modes (and between worker counts, since every worker
+  /// manager sifts independently); results remain compatible solutions
   /// of the relation in every mode.
   ReorderMode reorder = ReorderMode::Off;
 
@@ -206,13 +208,20 @@ struct SolverStats {
   double runtime_seconds = 0.0;
 };
 
-/// A compatible solution plus the run's statistics.  Runs with more than
-/// one worker additionally report the per-worker statistics.
+/// Add `from`'s counters into `into` (the flags merge by OR).  `workers`
+/// and `runtime_seconds` are left to the caller: an engine run counts
+/// its workers, a partitioned solve takes the widest block, and each
+/// times itself.
+void accumulate_stats(SolverStats& into, const SolverStats& from);
+
+/// A compatible solution plus the run's statistics: `stats` is the sum
+/// over the workers, `worker_stats` one entry per worker that ran (empty
+/// when the root was served by the memo or the solve was partitioned).
 struct SolveResult {
   MultiFunction function;
   double cost = 0.0;
   SolverStats stats;
-  std::vector<SolverStats> worker_stats;  ///< empty for serial runs
+  std::vector<SolverStats> worker_stats;
 };
 
 /// The solver.  Reusable across relations; each solve() run is

@@ -16,7 +16,6 @@
 
 #include "brel/lock_stats.hpp"
 #include "brel/memo_snapshot.hpp"
-#include "brel/parallel_engine.hpp"  // resolve_worker_count
 #include "brel/search.hpp"
 #include "relation/relation_io.hpp"
 
@@ -73,7 +72,8 @@ struct SolverPool::Impl {
         workers(resolve_worker_count(this->options.workers)),
         slots_started(static_cast<std::ptrdiff_t>(workers)) {
     // Normalize the per-request engine configuration once: requests run
-    // the serial engine (the pool's parallelism is across requests), and
+    // one inline worker in the slot's manager (the pool's parallelism is
+    // across requests), and
     // the pool's own memo is the cross-request channel.
     this->options.solver.num_workers = 1;
     // A caller-provided memo is always adopted (sharing warm state

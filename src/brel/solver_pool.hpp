@@ -3,7 +3,7 @@
 /// The solver-pool service layer: N long-lived worker slots serving a
 /// queue of independent Boolean-relation solve requests.
 ///
-/// `ParallelEngine` parallelizes one solve across workers;  the pool is
+/// `SearchEngine` can parallelize one solve across workers; the pool is
 /// the complementary shape the ROADMAP's service north-star needs — many
 /// concurrent *solves*, each handled serially by one worker, with state
 /// that outlives any single request:
@@ -39,10 +39,11 @@
 /// The per-request engine configuration is fixed at pool construction
 /// (`PoolOptions::solver`) — one objective, one mode — which is exactly
 /// the comparability contract the memo's fingerprint enforces.  Each
-/// request runs the serial `SearchEngine` directly (cross-request
-/// throughput is the pool's parallelism), not the `BrelSolver` facade:
-/// `num_workers` and `partition_inputs` inside those options are
-/// ignored, so a pool never pre-splits a request into input blocks.
+/// request runs a 1-worker `SearchEngine` directly — inline on the slot's
+/// thread, in the slot's manager (cross-request throughput is the pool's
+/// parallelism) — not the `BrelSolver` facade: `num_workers` and
+/// `partition_inputs` inside those options are ignored, so a pool never
+/// pre-splits a request into input blocks.
 ///
 /// Concurrency note for shared-memo users: memo probes only surface
 /// COMPLETE entries — subtree results of a run that drained naturally

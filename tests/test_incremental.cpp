@@ -31,7 +31,6 @@
 
 #include "benchgen/paper_relations.hpp"
 #include "benchgen/relation_suite.hpp"
-#include "brel/parallel_engine.hpp"
 #include "brel/search.hpp"
 #include "brel/solver.hpp"
 
@@ -232,6 +231,29 @@ TEST(IncrementalTest, PartitionedIdenticalResolveExploresNothing) {
   EXPECT_EQ(portable(r, warm), portable(r, cold));
   EXPECT_EQ(warm.stats.relations_explored, 0u);
   EXPECT_EQ(warm.stats.memo_hits, 32u);  // one root hit per block
+}
+
+TEST(IncrementalTest, PartitionedStatsCountEveryBlockReorderSwap) {
+  // A partitioned solve sums its blocks' stats through the one
+  // accumulate_stats: every block engine sifts the caller's manager, so
+  // the summed swap count must equal the manager's own swap delta.
+  BddManager mgr{0};
+  std::vector<std::uint32_t> inputs;
+  std::vector<std::uint32_t> outputs;
+  const BooleanRelation r = make_benchmark_relation(
+      mgr, relation_suite().front(), inputs, outputs);  // int1
+  SolverOptions options;
+  options.cost = sum_of_bdd_sizes();
+  options.reorder = ReorderMode::On;
+  options.partition_inputs = 2;
+  const std::uint64_t reorders_before = mgr.stats().reorders;
+  const std::uint64_t swaps_before = mgr.stats().reorder_swaps;
+  const SolveResult result = BrelSolver(options).solve(r);
+  EXPECT_TRUE(r.is_compatible(result.function));
+  EXPECT_EQ(result.stats.reorders, mgr.stats().reorders - reorders_before);
+  EXPECT_GT(result.stats.reorder_swaps, 0u);
+  EXPECT_EQ(result.stats.reorder_swaps,
+            mgr.stats().reorder_swaps - swaps_before);
 }
 
 TEST(IncrementalTest, FlipDifferentialsAreBitIdenticalParallel) {

@@ -1,4 +1,4 @@
-// Differential tests for the multi-worker engine (parallel_engine.hpp).
+// Differential tests for the multi-worker engine (search.hpp).
 //
 // The load-bearing configuration is the schedule-independent one:
 // use_cost_bound=false plus a max_depth cap (or a fully drained
@@ -15,11 +15,11 @@
 
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "benchgen/paper_relations.hpp"
 #include "benchgen/relation_suite.hpp"
-#include "brel/parallel_engine.hpp"
 #include "brel/search.hpp"
 #include "relation/enumeration.hpp"
 
@@ -89,7 +89,7 @@ TEST(ParallelEngineTest, DepthCappedCostsEqualSerialAcrossFullSuite) {
     ASSERT_TRUE(r.is_compatible(serial.function)) << bench.name;
     for (const std::size_t workers : {1u, 2u, 4u}) {
       options.num_workers = workers;
-      const SolveResult parallel = ParallelEngine(r, options).run();
+      const SolveResult parallel = SearchEngine(r, options).run();
       EXPECT_DOUBLE_EQ(parallel.cost, serial.cost)
           << bench.name << " at " << workers << " workers";
       EXPECT_EQ(parallel.stats.relations_explored,
@@ -120,7 +120,7 @@ TEST(ParallelEngineTest, BatchedDonationPreservesScheduleIndependence) {
     for (const std::size_t batch : {1u, 4u, 16u}) {
       options.num_workers = workers;
       options.steal_batch = batch;
-      const SolveResult parallel = ParallelEngine(r, options).run();
+      const SolveResult parallel = SearchEngine(r, options).run();
       EXPECT_DOUBLE_EQ(parallel.cost, serial.cost)
           << workers << " workers, batch " << batch;
       EXPECT_EQ(parallel.stats.relations_explored,
@@ -146,7 +146,7 @@ TEST(ParallelEngineTest, DepthCappedEqualityHoldsForDfsAndBestFirst) {
     options.order = order;
     const SolveResult serial = SearchEngine(r, options).run();
     options.num_workers = 4;
-    const SolveResult parallel = ParallelEngine(r, options).run();
+    const SolveResult parallel = SearchEngine(r, options).run();
     EXPECT_DOUBLE_EQ(parallel.cost, serial.cost);
     EXPECT_EQ(parallel.stats.relations_explored,
               serial.stats.relations_explored);
@@ -175,7 +175,7 @@ TEST(ParallelEngineTest, RandomizedDrainedDifferentialSuite) {
         << "seed " << seed << " did not drain; shrink the generator";
     for (const std::size_t workers : {2u, 4u}) {
       options.num_workers = workers;
-      const SolveResult parallel = ParallelEngine(r, options).run();
+      const SolveResult parallel = SearchEngine(r, options).run();
       EXPECT_FALSE(parallel.stats.budget_exhausted);
       EXPECT_DOUBLE_EQ(parallel.cost, serial.cost)
           << "seed " << seed << " at " << workers << " workers";
@@ -199,7 +199,7 @@ TEST(ParallelEngineTest, SingleWorkerReproducesSerialEngineExactly) {
     options.max_relations = 25;
     const SolveResult serial = SearchEngine(r, options).run();
     options.num_workers = 1;
-    const SolveResult parallel = ParallelEngine(r, options).run();
+    const SolveResult parallel = SearchEngine(r, options).run();
     EXPECT_DOUBLE_EQ(parallel.cost, serial.cost) << bench.name;
     EXPECT_EQ(parallel.stats.relations_explored,
               serial.stats.relations_explored)
@@ -207,6 +207,80 @@ TEST(ParallelEngineTest, SingleWorkerReproducesSerialEngineExactly) {
     EXPECT_EQ(parallel.stats.splits, serial.stats.splits) << bench.name;
     EXPECT_EQ(parallel.stats.pruned_by_cost, serial.stats.pruned_by_cost)
         << bench.name;
+  }
+}
+
+TEST(ParallelEngineTest, SingleWorkerRunsInlineInTheCallersManager) {
+  // One worker is the worker loop run inline: every cost evaluation
+  // happens on the calling thread, on BDDs of the caller's manager, and
+  // that manager is the one whose kernel counters move.
+  BddManager mgr{0};
+  std::vector<std::uint32_t> inputs;
+  std::vector<std::uint32_t> outputs;
+  const BooleanRelation r = make_benchmark_relation(
+      mgr, relation_suite().front(), inputs, outputs);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t calls = 0;
+  std::size_t foreign = 0;
+  SolverOptions options = deterministic_options(6);
+  options.cost = [&, sizes = sum_of_bdd_sizes()](const MultiFunction& f) {
+    ++calls;
+    for (const Bdd& g : f.outputs) {
+      if (g.manager() != &mgr) {
+        ++foreign;
+      }
+    }
+    if (std::this_thread::get_id() != caller) {
+      ++foreign;
+    }
+    return sizes(f);
+  };
+  const std::uint64_t nodes_before = mgr.stats().nodes_created;
+  const SolveResult result = SearchEngine(r, options).run();
+  EXPECT_GT(calls, 0u);
+  EXPECT_EQ(foreign, 0u) << "work left the caller's thread or manager";
+  EXPECT_GT(mgr.stats().nodes_created, nodes_before);
+  EXPECT_GT(result.stats.relations_explored, 1u);
+  EXPECT_EQ(result.stats.workers, 1u);
+  ASSERT_EQ(result.worker_stats.size(), 1u);
+  EXPECT_EQ(result.worker_stats[0].relations_explored,
+            result.stats.relations_explored);
+  for (const Bdd& g : result.function.outputs) {
+    EXPECT_EQ(g.manager(), &mgr);
+  }
+}
+
+TEST(ParallelEngineTest, AutoReorderHonoursTriggerAtEveryWorkerCount) {
+  // Every worker arms Auto with the configured trigger, not the
+  // manager's default: a low trigger must fire sifting at any worker
+  // count, and the merged swap count is the sum over the workers.
+  for (const std::size_t index : {0u, 2u}) {  // int1, int3
+    BddManager mgr{0};
+    std::vector<std::uint32_t> inputs;
+    std::vector<std::uint32_t> outputs;
+    const RelationBenchmark& bench = relation_suite()[index];
+    const BooleanRelation r =
+        make_benchmark_relation(mgr, bench, inputs, outputs);
+    SolverOptions options;
+    options.cost = sum_of_bdd_sizes();
+    options.max_relations = 50;
+    options.reorder = ReorderMode::Auto;
+    options.reorder_trigger = 64;
+    for (const std::size_t workers : {1u, 2u}) {
+      options.num_workers = workers;
+      const SolveResult result = SearchEngine(r, options).run();
+      EXPECT_TRUE(r.is_compatible(result.function));
+      EXPECT_GT(result.stats.reorders, 0u)
+          << bench.name << " at " << workers << " workers";
+      EXPECT_GT(result.stats.reorder_swaps, 0u)
+          << bench.name << " at " << workers << " workers";
+      std::size_t swaps = 0;
+      for (const SolverStats& w : result.worker_stats) {
+        swaps += w.reorder_swaps;
+      }
+      EXPECT_EQ(swaps, result.stats.reorder_swaps)
+          << bench.name << " at " << workers << " workers";
+    }
   }
 }
 
@@ -218,7 +292,7 @@ TEST(ParallelEngineTest, WorkMigratesAndStatsAddUp) {
       mgr, relation_suite()[2], inputs, outputs);  // int3: a wide tree
   SolverOptions options = deterministic_options(8);
   options.num_workers = 4;
-  const SolveResult result = ParallelEngine(r, options).run();
+  const SolveResult result = SearchEngine(r, options).run();
   EXPECT_GT(result.stats.steals, 0u) << "no subproblem ever migrated";
   ASSERT_EQ(result.worker_stats.size(), 4u);
   std::size_t explored = 0;
@@ -241,7 +315,7 @@ TEST(ParallelEngineTest, GlobalBudgetDoesNotScaleWithWorkers) {
   options.cost = sum_of_bdd_sizes();
   options.max_relations = 10;
   options.num_workers = 4;
-  const SolveResult result = ParallelEngine(r, options).run();
+  const SolveResult result = SearchEngine(r, options).run();
   EXPECT_LE(result.stats.relations_explored, 10u);
   EXPECT_TRUE(result.stats.budget_exhausted);
   EXPECT_TRUE(r.is_compatible(result.function));
@@ -256,7 +330,7 @@ TEST(ParallelEngineTest, TimeoutStopsTheFleetWithACompatibleResult) {
   SolverOptions options = deterministic_options(static_cast<std::size_t>(-1));
   options.timeout = std::chrono::milliseconds(30);  // int3 cannot drain
   options.num_workers = 4;
-  const SolveResult result = ParallelEngine(r, options).run();
+  const SolveResult result = SearchEngine(r, options).run();
   EXPECT_TRUE(result.stats.budget_exhausted);
   EXPECT_TRUE(r.is_compatible(result.function));
 }
@@ -280,7 +354,7 @@ TEST(ParallelEngineTest, ShortTimeoutTerminatesAnIdleBlockedFleetPromptly) {
   options.timeout = std::chrono::milliseconds(30);  // int3 cannot drain
   options.num_workers = 8;
   const auto start = std::chrono::steady_clock::now();
-  const SolveResult result = ParallelEngine(r, options).run();
+  const SolveResult result = SearchEngine(r, options).run();
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -311,7 +385,7 @@ TEST(ParallelEngineTest, FreshGlobalMemoLeavesResultsUntouched) {
     SolverOptions with_memo = plain;
     with_memo.global_memo = std::make_shared<GlobalMemo>();
     with_memo.num_workers = workers;
-    const SolveResult result = ParallelEngine(r, with_memo).run();
+    const SolveResult result = SearchEngine(r, with_memo).run();
     EXPECT_EQ(result.stats.memo_hits, 0u) << "in-tree self-hit at "
                                           << workers << " workers";
     EXPECT_DOUBLE_EQ(result.cost, reference.cost);
@@ -330,9 +404,9 @@ TEST(ParallelEngineTest, WarmGlobalMemoShortCircuitsTheWholeFleet) {
   SolverOptions options = deterministic_options(6);
   options.global_memo = std::make_shared<GlobalMemo>();
   options.num_workers = 4;
-  const SolveResult cold = ParallelEngine(r, options).run();
+  const SolveResult cold = SearchEngine(r, options).run();
   // Warm: the coordinator's root probe answers before any thread spawns.
-  const SolveResult warm = ParallelEngine(r, options).run();
+  const SolveResult warm = SearchEngine(r, options).run();
   EXPECT_EQ(warm.stats.relations_explored, 0u);
   EXPECT_EQ(warm.stats.memo_hits, 1u);
   EXPECT_DOUBLE_EQ(warm.cost, cold.cost);
@@ -356,7 +430,7 @@ TEST(ParallelEngineTest, ExactModeMatchesEnumeratedOptimum) {
     options.exact = true;
     options.cost = sum_of_bdd_sizes();
     options.num_workers = 2;
-    const SolveResult result = ParallelEngine(r, options).run();
+    const SolveResult result = SearchEngine(r, options).run();
     EXPECT_DOUBLE_EQ(result.cost, truth.cost);
     EXPECT_TRUE(r.is_compatible(result.function));
   }
@@ -374,7 +448,7 @@ TEST(ParallelEngineTest, FacadeDispatchesOnWorkerCount) {
   options.num_workers = 1;
   const SolveResult serial = BrelSolver(options).solve(r);
   EXPECT_EQ(serial.stats.workers, 1u);
-  EXPECT_TRUE(serial.worker_stats.empty());
+  EXPECT_EQ(serial.worker_stats.size(), 1u);
 }
 
 TEST(ParallelEngineTest, ResolvesWorkerCounts) {
@@ -385,7 +459,7 @@ TEST(ParallelEngineTest, ResolvesWorkerCounts) {
   const BooleanRelation r = fig1_relation(mgr, space);
   SolverOptions options;
   options.num_workers = 3;
-  EXPECT_EQ(ParallelEngine(r, options).worker_count(), 3u);
+  EXPECT_EQ(SearchEngine(r, options).worker_count(), 3u);
 }
 
 TEST(ParallelEngineTest, RejectsIllDefinedRelation) {
@@ -397,7 +471,7 @@ TEST(ParallelEngineTest, RejectsIllDefinedRelation) {
         mgr.literal(space.inputs[1], false)));
   SolverOptions options;
   options.num_workers = 2;
-  EXPECT_THROW(ParallelEngine(broken, options), std::invalid_argument);
+  EXPECT_THROW(SearchEngine(broken, options), std::invalid_argument);
 }
 
 TEST(ParallelEngineTest, PropagatesCostFunctionFailures) {
@@ -411,7 +485,7 @@ TEST(ParallelEngineTest, PropagatesCostFunctionFailures) {
   options.cost = [](const MultiFunction&) -> double {
     throw std::runtime_error("cost function exploded");
   };
-  EXPECT_THROW((void)ParallelEngine(r, options).run(), std::runtime_error);
+  EXPECT_THROW((void)SearchEngine(r, options).run(), std::runtime_error);
 }
 
 }  // namespace

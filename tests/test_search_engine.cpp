@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 #include <type_traits>
 
 #include "benchgen/paper_relations.hpp"
@@ -176,8 +177,33 @@ TEST_F(SearchEngineTest, EngineMatchesSolverFacade) {
   EXPECT_DOUBLE_EQ(direct.cost, facade.cost);
   EXPECT_EQ(direct.stats.relations_explored,
             facade.stats.relations_explored);
-  EXPECT_EQ(engine.context().stats.relations_explored,
-            direct.stats.relations_explored);
+}
+
+TEST_F(SearchEngineTest, AutoReorderLeavesCallerManagerAsFound) {
+  // A 1-worker run sifts the caller's own manager, so Auto may arm the
+  // trigger only for the run's duration — and never disarm a trigger the
+  // caller armed.
+  const BooleanRelation r = fig10_relation(mgr, space);
+  SolverOptions options;
+  options.reorder = ReorderMode::Auto;
+  options.reorder_trigger = 16;
+  ASSERT_FALSE(mgr.auto_reorder());
+  EXPECT_TRUE(r.is_compatible(SearchEngine(r, options).run().function));
+  EXPECT_FALSE(mgr.auto_reorder()) << "Auto run left the manager armed";
+
+  // The disarm also runs when the run throws (step 0 costs the root's
+  // quick solution, after the trigger is armed).
+  SolverOptions throwing = options;
+  throwing.cost = [](const MultiFunction&) -> double {
+    throw std::runtime_error("cost function exploded");
+  };
+  EXPECT_THROW((void)SearchEngine(r, throwing).run(), std::runtime_error);
+  EXPECT_FALSE(mgr.auto_reorder()) << "a throwing run left the manager armed";
+
+  mgr.set_auto_reorder(true);
+  EXPECT_TRUE(r.is_compatible(SearchEngine(r, options).run().function));
+  EXPECT_TRUE(mgr.auto_reorder()) << "Auto run disarmed the caller's trigger";
+  mgr.set_auto_reorder(false);
 }
 
 TEST_F(SearchEngineTest, InfiniteCostStillReturnsCompatibleFunction) {
