@@ -8,8 +8,14 @@
 // paper's reference configuration ISOP + elimination (= 1.00).
 // The paper finds that elimination cuts runtime and that ISOP gives
 // slightly better literal counts than the other kernels.
+//
+// `--json <path>` records each configuration's LIT and CPU (BENCH_table1.json
+// at the repo root).  LIT is deterministic: tools/check_bench_regression.py
+// requires it to equal the committed reference exactly on any host, which
+// makes this table the quality oracle for changes to ISF minimization.
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -19,6 +25,7 @@ namespace {
 
 struct Config {
   const char* name;
+  const char* key;  ///< JSON object name
   brel::IsfMethod method;
   bool eliminate;
 };
@@ -30,17 +37,19 @@ struct Outcome {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace brel;
   const std::size_t budget = bench::budget_from_env("BREL_BUDGET", 10);
+  const std::string json_path = bench::json_path_from_args(argc, argv);
 
   const std::vector<Config> configs{
-      {"ISOP + elim", IsfMethod::Isop, true},
-      {"ISOP", IsfMethod::Isop, false},
-      {"Constrain + elim", IsfMethod::Constrain, true},
-      {"Constrain", IsfMethod::Constrain, false},
-      {"SafeRestrict + elim", IsfMethod::SafeRestrict, true},
-      {"SafeRestrict", IsfMethod::SafeRestrict, false},
+      {"ISOP + elim", "isop_elim", IsfMethod::Isop, true},
+      {"ISOP", "isop", IsfMethod::Isop, false},
+      {"Constrain + elim", "constrain_elim", IsfMethod::Constrain, true},
+      {"Constrain", "constrain", IsfMethod::Constrain, false},
+      {"SafeRestrict + elim", "safe_restrict_elim", IsfMethod::SafeRestrict,
+       true},
+      {"SafeRestrict", "safe_restrict", IsfMethod::SafeRestrict, false},
   };
 
   std::printf(
@@ -79,11 +88,29 @@ int main() {
   const Outcome& reference = outcomes.front();
   std::printf("%-22s %10s %10s %12s %12s\n", "configuration", "LIT",
               "CPU [s]", "LIT (norm)", "CPU (norm)");
+  bench::JsonWriter json;
+  json.begin_object();
+  json.field_str("bench", "bench_table1_isf_minimization");
+  bench::write_authoring_host(json);
+  json.field_int("budget", budget);
+  json.begin_object("configs");
   for (std::size_t i = 0; i < configs.size(); ++i) {
     std::printf("%-22s %10.0f %10.3f %12.2f %12.2f\n", configs[i].name,
                 outcomes[i].literals, outcomes[i].cpu,
                 outcomes[i].literals / reference.literals,
                 outcomes[i].cpu / reference.cpu);
+    json.begin_object(configs[i].key);
+    json.field_int("lit", static_cast<std::uint64_t>(outcomes[i].literals));
+    json.field_num("cpu_s", outcomes[i].cpu);
+    json.end_object();
+  }
+  json.end_object();
+  json.end_object();
+  if (!json_path.empty()) {
+    if (!json.save(json_path)) {
+      return 1;
+    }
+    std::printf("\nwrote %s\n", json_path.c_str());
   }
   return 0;
 }

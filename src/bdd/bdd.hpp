@@ -178,8 +178,10 @@ enum class BddOp : std::uint32_t {
   AndExists,
   Constrain,
   Restrict,
+  Isop,         ///< function-only ISOP (isop_function), keyed (lower, upper)
+  IsfMinimize,  ///< caller-level memo (isf_minimize_lookup/insert)
 };
-inline constexpr std::size_t kBddOpCount = 9;
+inline constexpr std::size_t kBddOpCount = 11;
 /// Short stable name of an op tag ("and", "ite", ...).
 [[nodiscard]] const char* bdd_op_name(BddOp op) noexcept;
 
@@ -276,8 +278,28 @@ class BddManager {
   [[nodiscard]] Bdd restrict_to(const Bdd& f, const Bdd& care);
 
   /// Minato-Morreale irredundant sum-of-products for any function in the
-  /// interval [lower, upper].  Requires lower ⊆ upper.
+  /// interval [lower, upper].  Requires lower ⊆ upper (std::invalid_argument
+  /// otherwise).  Builds the cover cube by cube; callers that only need the
+  /// function should use isop_function.
   [[nodiscard]] IsopResult isop(const Bdd& lower, const Bdd& upper);
+  /// The function of isop(lower, upper) — the same recursion, the same
+  /// result — without building any cube.  Each step is a computed-cache
+  /// entry (BddOp::Isop keyed on (lower, upper)), so repeated and
+  /// overlapping intervals are cheap; like every cache entry it is
+  /// dropped by garbage_collect() and reorder().  Same preconditions as
+  /// isop().
+  [[nodiscard]] Bdd isop_function(const Bdd& lower, const Bdd& upper);
+
+  /// Computed-cache memo for a whole caller-level minimization of the
+  /// interval given by (on, dc) (BddOp::IsfMinimize; `tag` names the
+  /// caller's configuration).  The kernel only stores and returns the
+  /// result: what it means is the caller's.  A hit returns the result
+  /// inserted under the same key since the last garbage_collect() or
+  /// reorder(); the entry may be evicted at any time.
+  [[nodiscard]] bool isf_minimize_lookup(const Bdd& on, const Bdd& dc,
+                                         std::uint32_t tag, Bdd& out);
+  void isf_minimize_insert(const Bdd& on, const Bdd& dc, std::uint32_t tag,
+                           const Bdd& result);
 
   /// Number of minterms of f over `num_vars_total` variables.  Exact while
   /// num_vars_total <= 52 (dyadic rationals representable in double).
@@ -488,6 +510,7 @@ class BddManager {
   };
   static_assert(sizeof(detail::Edge) == 4);
   static constexpr std::uint64_t kEmptyCacheKey = ~0ull;
+  static_assert(kBddOpCount <= 15, "op nibble 15 is the empty sentinel");
   /// Node indices must fit in 29 bits so an edge (index << 1 | complement)
   /// fits the 30-bit operand fields of the packed cache key.
   static constexpr std::uint32_t kMaxNodeIndex = (1u << 29) - 1;
@@ -575,6 +598,16 @@ class BddManager {
                                               detail::Edge c) noexcept;
 
   // -- computed cache ------------------------------------------------------
+  /// Packed key and 2-way set base slot of (op, a, b, c).
+  [[nodiscard]] CacheProbe make_probe(Op op, detail::Edge a, detail::Edge b,
+                                      detail::Edge c) const noexcept {
+    CacheProbe probe;
+    probe.key_ab = (std::uint64_t{static_cast<std::uint32_t>(op)} << 60) |
+                   (std::uint64_t{a} << 30) | b;
+    probe.c = c;
+    probe.slot = (hash_key(probe.key_ab, c) & cache_mask_) << 1;
+    return probe;
+  }
   /// Probe the 2-way set for (op, a, b, c).  On a miss, `probe` carries the
   /// packed key and slot to the matching cache_insert so the hash is
   /// computed once per lookup/insert pair.
@@ -602,6 +635,9 @@ class BddManager {
                                             detail::Edge cube);
   [[nodiscard]] detail::Edge constrain_rec(detail::Edge f, detail::Edge c);
   [[nodiscard]] detail::Edge restrict_rec(detail::Edge f, detail::Edge c);
+  [[nodiscard]] detail::Edge isop_rec(detail::Edge l, detail::Edge u);
+  /// Shared operand/interval checks of isop() and isop_function().
+  void check_isop_interval(const Bdd& lower, const Bdd& upper);
   [[nodiscard]] detail::Edge vars_cube(std::span<const std::uint32_t> vars);
 
   // -- dynamic reordering internals (bdd_reorder.cpp) ----------------------

@@ -370,6 +370,10 @@ const char* bdd_op_name(BddOp op) noexcept {
       return "constrain";
     case BddOp::Restrict:
       return "restrict";
+    case BddOp::Isop:
+      return "isop";
+    case BddOp::IsfMinimize:
+      return "isf_minimize";
   }
   return "?";
 }
@@ -389,10 +393,7 @@ bool BddManager::cache_lookup(Op op, Edge a, Edge b, Edge c, Edge& out,
   assert_owning_thread();  // per-op stats and MRU promotion both write
   const auto op_idx = static_cast<std::size_t>(op);
   ++stats_.op_lookups[op_idx];  // aggregates are folded on stats() read
-  probe.key_ab = (std::uint64_t{static_cast<std::uint32_t>(op)} << 60) |
-                 (std::uint64_t{a} << 30) | b;
-  probe.c = c;
-  probe.slot = (hash_key(probe.key_ab, c) & cache_mask_) << 1;
+  probe = make_probe(op, a, b, c);
   CacheEntry& primary = cache_[probe.slot];
   if (primary.key_ab == probe.key_ab && primary.c == c) {
     ++stats_.op_hits[op_idx];
@@ -415,6 +416,36 @@ void BddManager::cache_insert(const CacheProbe& probe, Edge result) {
     cache_[probe.slot + 1] = primary;  // demote; the LRU way is evicted
   }
   primary = CacheEntry{probe.key_ab, probe.c, result};
+}
+
+bool BddManager::isf_minimize_lookup(const Bdd& on, const Bdd& dc,
+                                     std::uint32_t tag, Bdd& out) {
+  if (on.manager() != this || dc.manager() != this) {
+    throw std::invalid_argument(
+        "isf_minimize_lookup: operands from a different manager");
+  }
+  Edge cached = 0;
+  CacheProbe probe;
+  if (!cache_lookup(Op::IsfMinimize, on.raw_edge(), dc.raw_edge(), tag,
+                    cached, probe)) {
+    return false;
+  }
+  out = wrap(cached);
+  return true;
+}
+
+void BddManager::isf_minimize_insert(const Bdd& on, const Bdd& dc,
+                                     std::uint32_t tag, const Bdd& result) {
+  if (on.manager() != this || dc.manager() != this ||
+      result.manager() != this) {
+    throw std::invalid_argument(
+        "isf_minimize_insert: operands from a different manager");
+  }
+  // Re-derive the probe rather than hand it out through the lookup: it
+  // keeps CacheProbe (and raw edges) out of the public interface.
+  assert_owning_thread();
+  cache_insert(make_probe(Op::IsfMinimize, on.raw_edge(), dc.raw_edge(), tag),
+               result.raw_edge());
 }
 
 // ---------------------------------------------------------------------------

@@ -30,6 +30,15 @@ struct IsfMinimizer {
   bool eliminate_nonessential = true;
 
   /// Minimize `isf`; the result always lies in [isf.min(), isf.max()].
+  /// Elimination works on the interval bounds in one pass over
+  /// supp(isf.max()), ascending variable index.  The whole call is a
+  /// computed-cache entry of the ISF's manager (BddOp::IsfMinimize keyed
+  /// on (ON, DC) and this configuration), and the ISOP kernel runs
+  /// BddManager::isop_function, itself cached per recursion step: a
+  /// repeated ISF — quick_solve re-minimizing the MISF candidate's
+  /// projections, siblings sharing untouched outputs — costs one probe.
+  /// The cache is cleared on GC and reorder, so a result is always the
+  /// one a fresh computation gives.
   [[nodiscard]] Bdd minimize(const Isf& isf) const;
 
   /// Like minimize() but also reports the ISOP cover when the kernel

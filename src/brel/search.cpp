@@ -79,7 +79,7 @@ void enqueue_child(SearchContext& ctx, BooleanRelation&& child, Bdd&& delta,
   const bool delta_untouched = !delta.is_null() && delta.is_zero();
   MemoKeyHandle memo_key;
   if (ctx.memo != nullptr) {
-    memo_key = make_memo_handle(ctx.memo_space_ref, child.characteristic());
+    memo_key = make_memo_handle(ctx.space, child.characteristic());
     ctx.memo_touched.push_back({memo_key, child_depth});
     // lookup_at() only surfaces COMPLETE entries whose claim covers this
     // depth (subtrees some run of this configuration explored to its
@@ -109,7 +109,7 @@ void enqueue_child(SearchContext& ctx, BooleanRelation&& child, Bdd&& delta,
         ctx.memo->publish(key, hit->solution, ctx.memo_stamp.run_id);
       }
       ctx.offer_solution(
-          import_portable_solution(ctx.mgr, *ctx.memo_space, hit->solution),
+          import_portable_solution(ctx.mgr, *ctx.space, hit->solution),
           hit->solution.cost);
       return;
     }
@@ -174,13 +174,13 @@ void SearchContext::offer_solution(MultiFunction f, double solution_cost) {
   // Equal-cost ties resolve through the canonical total order so the
   // kept incumbent does not depend on arrival order (memo-served
   // candidates arrive earlier than a cold search would produce them).
-  if (solution_cost == best_cost && tie_space != nullptr &&
+  if (solution_cost == best_cost && space != nullptr &&
       !best.outputs.empty()) {
     if (!best_portable.has_value()) {
-      best_portable = make_portable_solution(*tie_space, best, best_cost);
+      best_portable = make_portable_solution(*space, best, best_cost);
     }
     PortableSolution candidate =
-        make_portable_solution(*tie_space, f, solution_cost);
+        make_portable_solution(*space, f, solution_cost);
     if (canonically_before(candidate, *best_portable)) {
       best = std::move(f);
       best_portable = std::move(candidate);
@@ -197,7 +197,7 @@ void SearchContext::record_solution(const Subproblem& from, MultiFunction f,
                                     double solution_cost) {
   if (memo != nullptr && !from.memo_chain.empty()) {
     const PortableSolution portable =
-        make_portable_solution(*memo_space, f, solution_cost);
+        make_portable_solution(*space, f, solution_cost);
     for (const MemoKeyHandle& key : from.memo_chain) {
       memo->publish(key, portable, memo_stamp.run_id);
     }

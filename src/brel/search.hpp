@@ -73,21 +73,17 @@ struct SearchContext {
   std::optional<SymmetryCache> symmetries;
 
   /// Cross-solve memo (SolverOptions::global_memo); null when disabled.
-  /// `memo_space` carries the rank tables of the current root relation
-  /// and is non-null whenever `memo` is.  `memo_space_ref` shares
-  /// ownership of the SAME space for make_memo_handle (HASHED handles
-  /// keep the space alive until they materialize); set iff `memo` is.
   GlobalMemo* memo = nullptr;
-  const MemoSpace* memo_space = nullptr;
-  std::shared_ptr<const MemoSpace> memo_space_ref = {};
 
-  /// Rank space for the canonical equal-cost tie order (see
-  /// canonically_before).  The engines always set it — memo or not — so
-  /// a cold memo-less run and a memo-served warm run break every tie
-  /// the same way and stay bit-identical.  `best_portable` caches the
+  /// Rank tables of the run's root relation.  They key the memo (shared
+  /// ownership: HASHED key handles keep the space alive until they
+  /// materialize) and anchor the canonical equal-cost tie order (see
+  /// canonically_before).  The engine always sets it — memo or not — so a
+  /// cold memo-less run and a memo-served warm run break every tie the
+  /// same way and stay bit-identical.  `best_portable` caches the
   /// incumbent's rank form; empty until the first cost tie forces a
   /// comparison, invalidated whenever a strictly better incumbent wins.
-  const MemoSpace* tie_space = nullptr;
+  std::shared_ptr<const MemoSpace> space = {};
   std::optional<PortableSolution> best_portable = {};
 
   /// This run's memo identity (GlobalMemo::begin_run), threaded through

@@ -322,13 +322,10 @@ void run_worker(const RunSetup& run, const BooleanRelation& root,
   if (options.use_symmetry) {
     ctx.symmetries.emplace(mgr, root.outputs());
   }
-  ctx.tie_space = run.space.get();
+  ctx.space = run.space;
   if (options.global_memo != nullptr) {
     // The memo itself is shared (thread-safe, plain-data entries).
     ctx.memo = options.global_memo.get();
-    ctx.memo_space = run.space.get();
-    // Shared ref: HASHED key handles keep the space alive.
-    ctx.memo_space_ref = run.space;
     ctx.memo_stamp = run.memo_stamp;
   }
   ctx.delta_active = run.delta_active;
@@ -385,8 +382,7 @@ void run_worker(const RunSetup& run, const BooleanRelation& root,
     const double quick_cost = ctx.cost(quick);
     if (ctx.memo != nullptr) {
       ctx.memo->publish(root_item->memo_chain.front(),
-                        make_portable_solution(*ctx.memo_space, quick,
-                                               quick_cost),
+                        make_portable_solution(*ctx.space, quick, quick_cost),
                         ctx.memo_stamp.run_id);
     }
     ctx.best_cost = quick_cost;
@@ -598,6 +594,7 @@ SolveResult SearchEngine::run() {
       result.stats.memo_hits = 1;
       result.stats.solutions_seen = 1;
       result.stats.workers = workers_;
+      result.space = space;
       result.stats.runtime_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
@@ -732,6 +729,8 @@ SolveResult SearchEngine::run() {
   // a fleet's winner is transferred back into it.
   WorkerOutcome& best = outcomes[winner];
   result.cost = best.best_cost;
+  result.space = space;
+  result.portable = std::move(best.best_portable);
   if (workers_ == 1) {
     result.function = std::move(best.best);
   } else {

@@ -222,6 +222,14 @@ struct SolveResult {
   double cost = 0.0;
   SolverStats stats;
   std::vector<SolverStats> worker_stats;
+  /// Rank tables of the solved relation (make_memo_space) as the engine
+  /// built them for this run; null for a partitioned solve.  The ranks
+  /// come from sorted variable ids, so a sift does not change them.
+  std::shared_ptr<const MemoSpace> space;
+  /// `function` and `cost` in rank form under `space`, when the engine
+  /// already built it (an equal-cost tie or a fleet merge); empty
+  /// otherwise.
+  std::optional<PortableSolution> portable;
 };
 
 /// The solver.  Reusable across relations; each solve() run is

@@ -293,7 +293,9 @@ struct SolverPool::Impl {
           solve_options.delta_registry = &*slot_registry;
         }
         SolveResult solved = SearchEngine(r, solve_options).run();
-        const MemoSpace space = make_memo_space(r);
+        // The engine's rank tables (and its winner's rank form, when it
+        // built one) are exactly what the reply needs.
+        const MemoSpace& space = *solved.space;
         if (slot_registry.has_value()) {
           // Remember the POST-solve order (whatever sifting settled on)
           // for the next same-signature request.  An identity order is
@@ -305,7 +307,9 @@ struct SolverPool::Impl {
         }
         PoolResult out;
         out.solution =
-            make_portable_solution(space, solved.function, solved.cost);
+            solved.portable.has_value()
+                ? std::move(*solved.portable)
+                : make_portable_solution(space, solved.function, solved.cost);
         out.cost = solved.cost;
         out.stats = solved.stats;
         out.worker_id = id;

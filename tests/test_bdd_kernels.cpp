@@ -19,6 +19,8 @@
 
 #include <chrono>
 #include <random>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -193,6 +195,126 @@ TEST(BddKernelDiffTest, KernelsAgreeOnBenchmarkRelationSuite) {
       EXPECT_TRUE((chi ^ misf_chi) == mgr.ite(chi, !misf_chi, misf_chi));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Function-only ISOP (isop_function) against the cover-building isop().
+// ---------------------------------------------------------------------------
+
+/// Random intervals [f & g, f | g] over `vars` variables.
+std::vector<std::pair<Bdd, Bdd>> random_intervals(BddManager& mgr,
+                                                  std::mt19937& rng,
+                                                  std::uint32_t vars,
+                                                  int count) {
+  std::vector<std::pair<Bdd, Bdd>> out;
+  for (int i = 0; i < count; ++i) {
+    const Bdd f = random_function(mgr, rng, vars, 3);
+    const Bdd g = random_function(mgr, rng, vars, 3);
+    out.emplace_back(f & g, f | g);
+  }
+  return out;
+}
+
+TEST(BddIsopFunctionTest, MatchesCoverIsopOnRandomIntervals) {
+  BddManager mgr{10};
+  std::mt19937 rng{314};
+  for (const auto& [lower, upper] : random_intervals(mgr, rng, 10, 200)) {
+    const Bdd f = mgr.isop_function(lower, upper);
+    EXPECT_TRUE(f == mgr.isop(lower, upper).function);
+    EXPECT_TRUE(lower.subset_of(f));
+    EXPECT_TRUE(f.subset_of(upper));
+  }
+}
+
+TEST(BddIsopFunctionTest, MatchesCoverIsopOnRelationSuite) {
+  for (const RelationBenchmark& bench : relation_suite()) {
+    BddManager mgr{0};
+    std::vector<std::uint32_t> inputs;
+    std::vector<std::uint32_t> outputs;
+    const BooleanRelation r =
+        make_benchmark_relation(mgr, bench, inputs, outputs);
+    for (std::size_t i = 0; i < r.num_outputs(); ++i) {
+      const Isf isf = r.project_output(i);
+      EXPECT_TRUE(mgr.isop_function(isf.min(), isf.max()) ==
+                  mgr.isop(isf.min(), isf.max()).function)
+          << bench.name << " output " << i;
+    }
+  }
+}
+
+TEST(BddIsopFunctionTest, MatchesCoverIsopAfterReorder) {
+  BddManager mgr{10};
+  std::mt19937 rng{2718};
+  const auto intervals = random_intervals(mgr, rng, 10, 60);
+  std::vector<Bdd> before;
+  for (const auto& [lower, upper] : intervals) {
+    before.push_back(mgr.isop_function(lower, upper));
+  }
+  mgr.reorder();
+  ASSERT_FALSE(mgr.has_identity_order());
+  std::size_t changed = 0;
+  for (std::size_t i = 0; i < intervals.size(); ++i) {
+    const auto& [lower, upper] = intervals[i];
+    const Bdd after = mgr.isop_function(lower, upper);
+    EXPECT_TRUE(after == mgr.isop(lower, upper).function);
+    changed += after == before[i] ? 0 : 1;
+  }
+  // The ISOP depends on the order: a stale pre-reorder entry would be
+  // visible on these intervals.
+  EXPECT_GT(changed, 0u);
+}
+
+TEST(BddIsopFunctionTest, GarbageCollectionEmptiesTheIsopCache) {
+  BddManager mgr{10};
+  std::mt19937 rng{1618};
+  const auto intervals = random_intervals(mgr, rng, 10, 40);
+  const BddStats& stats = mgr.stats();
+  const auto isop_lookups = [&] {
+    return stats.op_lookups[static_cast<std::size_t>(BddOp::Isop)];
+  };
+  for (const auto& [lower, upper] : intervals) {
+    mgr.garbage_collect();
+    const std::uint64_t l0 = isop_lookups();
+    const Bdd cold = mgr.isop_function(lower, upper);
+    const std::uint64_t cold_lookups = isop_lookups() - l0;
+    mgr.garbage_collect();  // clears the cache: the recursion reruns
+    const std::uint64_t l1 = isop_lookups();
+    const Bdd again = mgr.isop_function(lower, upper);
+    EXPECT_EQ(isop_lookups() - l1, cold_lookups);
+    EXPECT_TRUE(again == cold);
+    EXPECT_TRUE(again == mgr.isop(lower, upper).function);
+  }
+}
+
+TEST(BddIsopFunctionTest, RepeatedCallIsOneCacheHit) {
+  BddManager mgr{10};
+  std::mt19937 rng{577};
+  const BddStats& stats = mgr.stats();
+  const auto op = [](BddOp o) { return static_cast<std::size_t>(o); };
+  for (const auto& [lower, upper] : random_intervals(mgr, rng, 10, 20)) {
+    if (lower.is_zero() || upper.is_one()) {
+      continue;  // terminal intervals never reach the cache
+    }
+    const Bdd first = mgr.isop_function(lower, upper);
+    const std::uint64_t lookups = stats.op_lookups[op(BddOp::Isop)];
+    const std::uint64_t hits = stats.op_hits[op(BddOp::Isop)];
+    EXPECT_TRUE(mgr.isop_function(lower, upper) == first);
+    EXPECT_EQ(stats.op_lookups[op(BddOp::Isop)], lookups + 1);
+    EXPECT_EQ(stats.op_hits[op(BddOp::Isop)], hits + 1);
+  }
+}
+
+TEST(BddIsopFunctionTest, IntervalCheckBuildsNoNodes) {
+  BddManager mgr{4};
+  const Bdd x0 = mgr.var(0);
+  const Bdd x1 = mgr.var(1);
+  const std::uint64_t created = mgr.stats().nodes_created;
+  EXPECT_THROW((void)mgr.isop(x0, x1), std::invalid_argument);
+  EXPECT_THROW((void)mgr.isop_function(x0, x1), std::invalid_argument);
+  EXPECT_EQ(mgr.stats().nodes_created, created);
+  BddManager other{4};
+  EXPECT_THROW((void)mgr.isop_function(x0, other.var(0)),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

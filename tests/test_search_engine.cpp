@@ -349,5 +349,39 @@ TEST(CrossSolveMemoTest, SharedMemoServesRepeatSolves) {
   EXPECT_GT(options.global_memo->hits(), 0u);
 }
 
+TEST(SearchEngineResultTest, CarriesTheRunsRankSpaceAndRankForm) {
+  // SolveResult::space / portable hand the engine's rank tables and its
+  // winner's rank form to callers (the pool replies with them), so they
+  // must be exactly what rebuilding them after the run gives.
+  std::size_t rank_forms = 0;
+  for (const std::size_t workers : {1u, 2u}) {
+    for (const RelationBenchmark& bench : relation_suite()) {
+      BddManager mgr{0};
+      std::vector<std::uint32_t> inputs;
+      std::vector<std::uint32_t> outputs;
+      const BooleanRelation r =
+          make_benchmark_relation(mgr, bench, inputs, outputs);
+      SolverOptions options;
+      options.max_relations = 10;
+      options.num_workers = workers;
+      const SolveResult result = SearchEngine(r, options).run();
+      ASSERT_NE(result.space, nullptr);
+      const MemoSpace rebuilt = make_memo_space(r);
+      EXPECT_EQ(result.space->sorted_vars, rebuilt.sorted_vars);
+      EXPECT_EQ(result.space->rank_of, rebuilt.rank_of);
+      EXPECT_EQ(result.space->input_ranks, rebuilt.input_ranks);
+      EXPECT_EQ(result.space->output_ranks, rebuilt.output_ranks);
+      if (result.portable.has_value()) {
+        ++rank_forms;
+        EXPECT_EQ(*result.portable,
+                  make_portable_solution(rebuilt, result.function,
+                                         result.cost))
+            << bench.name << " at " << workers << " workers";
+      }
+    }
+  }
+  EXPECT_GT(rank_forms, 0u);  // equal-cost ties do arise on the suite
+}
+
 }  // namespace
 }  // namespace brel

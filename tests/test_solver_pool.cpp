@@ -709,5 +709,64 @@ TEST(SolverPoolTest, OrderMemorySkipsSiftingRampOnRepeatTraffic) {
   EXPECT_EQ(cold.solution, warm.solution);
 }
 
+TEST(SolverPoolTest, ReusedEngineRankSpaceKeepsRepliesAndOrderMemory) {
+  // The slot replies with the engine's own rank tables and rank form
+  // instead of rebuilding them.  Pin both uses against a reference that
+  // rebuilds them after the solve, with reorder=On so the space was
+  // built BEFORE the sift: the portable solutions must match, and the
+  // remembered order (keyed by the space's rank lists) must seed the
+  // second request exactly as an explicit hint of the sifted order does.
+  constexpr std::uint32_t kPairs = 6;
+  BddManager author{0};
+  std::vector<std::uint32_t> inputs;
+  std::vector<std::uint32_t> outputs;
+  const std::uint32_t x0 = author.add_vars(kPairs);
+  const std::uint32_t y0 = author.add_vars(kPairs);
+  Bdd chi = author.one();
+  for (std::uint32_t i = 0; i < kPairs; ++i) {
+    inputs.push_back(x0 + i);
+    outputs.push_back(y0 + i);
+    chi = chi & (author.var(x0 + i).iff(author.var(y0 + i)) |
+                 author.var(x0 + (i + 1) % kPairs));
+  }
+  const std::string text =
+      write_relation_bdd(BooleanRelation(author, inputs, outputs, chi));
+  SolverOptions solver = deterministic_options(3);
+  solver.reorder = ReorderMode::On;
+
+  BddManager cold_mgr{0};
+  const BooleanRelation cold_r = read_relation(cold_mgr, text);
+  const SolveResult cold_ref = SearchEngine(cold_r, solver).run();
+  const std::vector<std::uint32_t> sifted = relation_block_order(cold_r);
+  ASSERT_FALSE(sifted.empty());  // the sift moved something
+  BddManager warm_mgr{0};
+  const BooleanRelation warm_r = read_relation(warm_mgr, text, &sifted);
+  const SolveResult warm_ref = SearchEngine(warm_r, solver).run();
+  BddManager unseeded_mgr{0};
+  const BooleanRelation unseeded_r = read_relation(unseeded_mgr, text);
+  const SolveResult unseeded = SearchEngine(unseeded_r, solver).run();
+  // The seeded parse is observably different from an unseeded one.
+  ASSERT_NE(warm_ref.stats.reorder_swaps, unseeded.stats.reorder_swaps);
+
+  PoolOptions options;
+  options.workers = 1;         // both requests hit the same slot
+  options.share_memo = false;  // a root memo hit would skip the solve
+  options.incremental = true;  // arms the slot's order memory
+  options.solver = solver;
+  SolverPool pool(options);
+  const PoolResult cold = pool.submit(text).get();
+  const PoolResult warm = pool.submit(text).get();
+  EXPECT_EQ(cold.solution, make_portable_solution(make_memo_space(cold_r),
+                                                  cold_ref.function,
+                                                  cold_ref.cost));
+  EXPECT_EQ(warm.solution, make_portable_solution(make_memo_space(warm_r),
+                                                  warm_ref.function,
+                                                  warm_ref.cost));
+  EXPECT_EQ(cold.stats.reorder_swaps, cold_ref.stats.reorder_swaps);
+  EXPECT_EQ(warm.stats.reorder_swaps, warm_ref.stats.reorder_swaps);
+  EXPECT_EQ(warm.stats.relations_explored,
+            warm_ref.stats.relations_explored);
+}
+
 }  // namespace
 }  // namespace brel

@@ -5,6 +5,8 @@ Usage: check_bench_regression.py <reference.json> <fresh.json> [tolerance]
 
 Exit 1 ONLY on a genuine regression:
   - the fresh run's "acceptance" is not "pass", or
+  - an exact quality counter (see EXACT_EQUAL) differs from the
+    reference, or
   - a timing/throughput metric got worse than the reference by more than
     the tolerance factor (default 0.5 = 50% worse) WHILE the two records
     were authored at the same core count.
@@ -18,6 +20,11 @@ skipped with a note.
 
 Correctness figures (acceptance, *_explored, *_errors) are compared
 regardless of host: they must not depend on the machine.
+
+Quality counters (`lit`, the Table 1 literal counts of
+bench_table1_isf_minimization) are deterministic results of the solver,
+not of the machine: every one in the reference must be present in the
+fresh record with exactly the same value, on any host.
 
 The memo-key fields ride the same rules: `memo_key.*_ns` (bench_bdd_ops)
 and `key_build_ms` / `*_key_build_ms` (bench_solver_pool) are
@@ -41,6 +48,8 @@ EXACT_ZERO = (
     "incompatible",
     "hash_probe_allocs",
 )
+# Machine-independent counters that must equal the reference exactly.
+EXACT_EQUAL = ("lit",)
 
 
 def walk(prefix, node, out):
@@ -77,6 +86,16 @@ def main():
         leaf = path.rsplit(".", 1)[-1]
         if leaf in EXACT_ZERO and value != 0:
             failures.append(f"{path}: {value:g} (must be 0)")
+    for path, ref_value in ref_flat.items():
+        if path.rsplit(".", 1)[-1] not in EXACT_EQUAL:
+            continue
+        if path not in fresh_flat:
+            failures.append(f"{path}: missing (reference {ref_value:g})")
+        elif fresh_flat[path] != ref_value:
+            failures.append(
+                f"{path}: {fresh_flat[path]:g} vs reference {ref_value:g} "
+                f"(must be equal)"
+            )
 
     ref_cores = reference.get("authoring_host", {}).get("cores")
     fresh_cores = fresh.get("authoring_host", {}).get("cores")
